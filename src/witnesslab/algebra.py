@@ -18,6 +18,7 @@ interleaved physical indices.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,23 +111,6 @@ def embedding_permutation(alg: BipartiteAlgebra) -> np.ndarray:
         [block_indices(alg, k, l) for k, l, _, _ in block_layout(alg)])
 
 
-def assemble_blocks(alg: BipartiteAlgebra, blocks) -> np.ndarray:
-    """Full-space matrix from per-sector matrices.
-
-    ``blocks`` maps (k, l) to a square matrix of the sector size; missing
-    sectors are zero.
-    """
-    out = np.zeros((alg.total_dim, alg.total_dim), dtype=complex)
-    for (k, l), sub in blocks.items():
-        sub = as_matrix(sub)
-        idx = block_indices(alg, k, l)
-        if sub.shape[0] != idx.size:
-            raise ValueError(
-                f"sector ({k},{l}) expects size {idx.size}, got {sub.shape[0]}")
-        out[np.ix_(idx, idx)] = sub
-    return out
-
-
 def extract_block(m, alg: BipartiteAlgebra, k: int, l: int) -> np.ndarray:
     idx = block_indices(alg, k, l)
     return as_matrix(m)[np.ix_(idx, idx)]
@@ -157,24 +141,50 @@ def require_in_algebra(m, alg: BipartiteAlgebra) -> np.ndarray:
     return m
 
 
-def classical_state(alg: BipartiteAlgebra, weights) -> np.ndarray:
-    """Density matrix (+)_{k,l} p_kl * I / (n_k m_l).
+@functools.lru_cache(maxsize=64)
+def _draw_slots(alg: BipartiteAlgebra) -> np.ndarray:
+    """Where each draw of ``_random_block_raw`` lands in a full-space
+    complex matrix viewed as 2 * total_dim**2 floats: the real part of
+    entry (i, j) sits at ``2 * (i * total_dim + j)``, its imaginary part
+    right after.  Built once per algebra; the array is shared, hence
+    read-only.
+    """
+    n = alg.total_dim
+    slots = []
+    for k, l, _, _ in block_layout(alg):
+        idx = block_indices(alg, k, l)
+        entries = 2 * (idx[:, None] * n + idx[None, :]).ravel()
+        slots += [entries, entries + 1]    # real parts, then imaginary
+    out = np.concatenate(slots)
+    out.flags.writeable = False
+    return out
 
-    ``weights`` is a (len(blocks_a), len(blocks_b)) array of nonnegative
-    reals summing to 1 within 1e-12.
+
+def classical_state(alg: BipartiteAlgebra, weights) -> np.ndarray:
+    """Density matrices (+)_{k,l} p_kl * I / (n_k m_l).
+
+    ``weights`` has shape ``(..., len(blocks_a), len(blocks_b))``: every
+    trailing (k, l) slice is one state's sector weights, nonnegative reals
+    summing to 1 within 1e-12.  The leading axes are kept, so the result
+    has shape ``(..., total_dim, total_dim)``; a single (k, l) array gives
+    a single matrix.  Any invalid slice rejects the whole stack.
     """
     p = np.asarray(weights, dtype=float)
     shape = (len(alg.blocks_a), len(alg.blocks_b))
-    if p.shape != shape:
+    if p.shape[-2:] != shape:
         raise ValueError(f"weight shape {p.shape} does not match {shape}")
-    if p.min() < -1e-12:
+    if not (p >= -1e-12).all():
         raise ValueError("classical-state weights must be nonnegative")
-    if abs(p.sum() - 1.0) > 1e-12:
+    if not (abs(p.sum(axis=(-2, -1)) - 1.0) <= 1e-12).all():
         raise ValueError("classical-state weights must sum to 1")
-    rho = np.zeros((alg.total_dim, alg.total_dim), dtype=complex)
+    rho = np.zeros(p.shape[:-2] + (alg.total_dim, alg.total_dim),
+                   dtype=complex)
+    # The transposed views put the sector and matrix axes first, so one
+    # assignment per sector fills its diagonal in every state of a stack.
+    p_t, rho_t = p.T, rho.T
     for k, l, _, size in block_layout(alg):
         idx = block_indices(alg, k, l)
-        rho[idx, idx] = p[k, l] / size
+        rho_t[idx, idx] = p_t[l, k] / size
     return rho
 
 
@@ -243,23 +253,34 @@ def classicality_violation(rho, alg: BipartiteAlgebra):
     return x, y, value
 
 
-def _random_block_raw(alg: BipartiteAlgebra,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Complex Gaussian matrix supported on the sector grids."""
-    blocks = {}
-    for k, l, _, size in block_layout(alg):
-        g = rng.standard_normal((size, size)) \
-            + 1j * rng.standard_normal((size, size))
-        blocks[(k, l)] = g
-    return assemble_blocks(alg, blocks)
+def _random_block_raw(alg: BipartiteAlgebra, rng: np.random.Generator,
+                      shape: tuple[int, ...] = ()) -> np.ndarray:
+    """Complex Gaussian matrices supported on the sector grids.
+
+    Returns an array of shape ``shape + (total_dim, total_dim)`` from a
+    single ``rng.standard_normal`` call.  Each matrix consumes
+    2 * sum(size**2) draws: per sector in ``block_layout`` order, the real
+    parts of its entries (row-major), then their imaginary parts.  A
+    stacked call therefore draws exactly what the same number of
+    unstacked calls would, in the same order.
+    """
+    slots = _draw_slots(alg)
+    n = alg.total_dim
+    out = np.zeros(shape + (2 * n * n,))
+    out[..., slots] = rng.standard_normal(shape + slots.shape)
+    return out.view(complex).reshape(shape + (n, n))
 
 
 def _random_element(alg: BipartiteAlgebra, rng: np.random.Generator,
-                    positive: bool) -> np.ndarray:
-    g = _random_block_raw(alg, rng)
+                    positive: bool,
+                    shape: tuple[int, ...] = ()) -> np.ndarray:
+    """Hermitian (G + G^dag)/2, or G^dag G if ``positive``, stacked over
+    ``shape`` like ``_random_block_raw``."""
+    g = _random_block_raw(alg, rng, shape)
+    g_dag = g.conj().swapaxes(-1, -2)
     if positive:
-        return g.conj().T @ g
-    return (g + g.conj().T) / 2.0
+        return g_dag @ g
+    return (g + g_dag) / 2.0
 
 
 def random_algebra_element(alg: BipartiteAlgebra, seed: int,

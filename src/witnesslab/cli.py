@@ -40,7 +40,12 @@ DEFAULT_TRIALS = 1000
 
 
 def default_seed() -> int:
-    return int(os.environ.get("WITNESSLAB_SEED", "42"))
+    text = os.environ.get("WITNESSLAB_SEED", "42")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(
+            f"WITNESSLAB_SEED must be an integer, got {text!r}") from None
 
 
 def parse_algebra(text: str) -> BipartiteAlgebra:
@@ -420,13 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -163,7 +163,7 @@ def matrix_from_json(obj) -> np.ndarray:
         if key not in obj:
             raise ValueError(f"matrix JSON missing field '{key}'")
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ValueError("matrix JSON 'dim' must be a positive integer")
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj["im"], dtype=float)

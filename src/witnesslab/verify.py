@@ -23,8 +23,8 @@ from .algebra import (BipartiteAlgebra, block_indices, block_layout,
                       classical_state, classical_state_vertices,
                       extract_block, full_algebra, require_in_algebra,
                       _random_block_raw, _random_element)
-from .linalg import (anticommutator, commutator, expectation, frobenius,
-                     matrix_to_json, require_hermitian)
+from .linalg import (anticommutator, expectation, frobenius, matrix_to_json,
+                     require_hermitian)
 from .states import pure_state
 from .witnesses import QubitQWParams, qubit_qw
 
@@ -38,6 +38,9 @@ GRID_ORACLE_AGREEMENT = 1e-6
 # between the noise floor and -tol is a real sub-tolerance signal and is
 # reported as inconclusive rather than rounded away.
 NOISE_FLOOR = 1e-12
+# Probe trials are evaluated this many at a time as stacked (T, n, n)
+# arrays, so memory stays flat however many trials are asked for.
+PROBE_BLOCK = 1024
 
 
 @dataclass
@@ -353,6 +356,12 @@ def _coerce_algebra(alg) -> BipartiteAlgebra:
     return BipartiteAlgebra(tuple(alg), (1,))
 
 
+def _blocks(trials: int) -> list[int]:
+    """Sizes of the consecutive evaluation blocks that cover ``trials``."""
+    return [min(PROBE_BLOCK, trials - start)
+            for start in range(0, trials, PROBE_BLOCK)]
+
+
 def theorem1_probe(alg, trials: int, seed: int = 42) -> ProbeReport:
     """Probe the commutativity/anticommutator-positivity equivalence.
 
@@ -362,6 +371,12 @@ def theorem1_probe(alg, trials: int, seed: int = 42) -> ProbeReport:
     eigenvalue; if the search misses, fall back to the deterministic
     qubit pair (unit Bloch vectors at right angle) embedded in the first
     sector of dimension >= 2, which always produces one.
+
+    Seed contract: trial t draws X then Y, each G^dag G from one
+    ``_random_block_raw`` matrix, and nothing else, so a seed fixes every
+    trial.  The commutative case draws and evaluates PROBE_BLOCK trials
+    at a time as stacked arrays; the noncommutative search goes trial by
+    trial and stops at the first witness.
     """
     alg = _coerce_algebra(alg)
     if trials < 1:
@@ -371,17 +386,19 @@ def theorem1_probe(alg, trials: int, seed: int = 42) -> ProbeReport:
     if alg.is_commutative:
         violations = 0
         min_seen = math.inf
-        for _ in range(trials):
-            x = _random_element(alg, rng, positive=True)
-            y = _random_element(alg, rng, positive=True)
-            anti = anticommutator(x, y)
-            scale = max(1.0, frobenius(anti))
-            min_eig = float(np.linalg.eigvalsh(
-                (anti + anti.conj().T) / 2.0)[0])
-            min_seen = min(min_seen, min_eig)
-            if min_eig < -DEFAULT_TOL * scale or \
-                    frobenius(commutator(x, y)) > DEFAULT_TOL * scale:
-                violations += 1
+        for count in _blocks(trials):
+            pairs = _random_element(alg, rng, True, (count, 2))
+            x, y = pairs[:, 0], pairs[:, 1]
+            xy, yx = x @ y, y @ x
+            anti = xy + yx
+            scale = np.maximum(1.0, np.linalg.norm(anti, axis=(-2, -1)))
+            min_eig = np.linalg.eigvalsh(
+                (anti + anti.conj().swapaxes(-1, -2)) / 2.0)[:, 0]
+            noncommuting = np.linalg.norm(xy - yx, axis=(-2, -1)) \
+                > DEFAULT_TOL * scale
+            violations += int(np.count_nonzero(
+                (min_eig < -DEFAULT_TOL * scale) | noncommuting))
+            min_seen = min(min_seen, float(min_eig.min()))
         return ProbeReport(
             kind="theorem1", algebra=alg, trials=trials,
             violations=violations, passed=violations == 0, seed=seed,
@@ -429,39 +446,58 @@ def classical_lemma_test(alg, trials: int, seed: int = 42) -> ProbeReport:
     and a positive pair X = A^dag A, Y = B^dag B from random sector
     factors, then asserts tr(rho {X,Y}) >= -1e-9 together with the
     factorization step tr(rho X Y) = tr(rho C^dag C) >= -1e-9 for
-    C = A B^dag.
+    C = A B^dag.  No trace is computed from another: tr(rho {X,Y}) sums
+    the diagonals of X Y and Y X, the cross term takes that of X Y, and
+    tr(rho C^dag C) comes from C alone.
+
+    Seed contract: trial t draws its weights with one ``rng.dirichlet``
+    call, then A and B with one ``_random_block_raw`` call, and nothing
+    else, so a seed fixes every trial.  The draws are made trial by trial
+    in that order; everything after them is evaluated PROBE_BLOCK trials
+    at a time as stacked arrays.
     """
     alg = _coerce_algebra(alg)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     n_k, m_l = len(alg.blocks_a), len(alg.blocks_b)
+    n = alg.total_dim
+    alpha = np.ones(n_k * m_l)
 
     violations = 0
     min_anti = math.inf
     min_cross = math.inf
     max_residual = 0.0
-    for _ in range(trials):
-        weights = rng.dirichlet(np.ones(n_k * m_l)).reshape(n_k, m_l)
-        rho = classical_state(alg, weights)
-        a = _random_block_raw(alg, rng)
-        b = _random_block_raw(alg, rng)
-        x = a.conj().T @ a
-        y = b.conj().T @ b
-        c = a @ b.conj().T
+    for count in _blocks(trials):
+        weights = np.empty((count, n_k * m_l))
+        factors = np.empty((count, 2, n, n), dtype=complex)
+        for t in range(count):
+            weights[t] = rng.dirichlet(alpha)
+            factors[t] = _random_block_raw(alg, rng, (2,))
+        # Classical states are diagonal, so tr(rho M) = sum_i rho_ii M_ii
+        # needs only the diagonals of rho and of X Y, Y X and C^dag C.
+        rho = classical_state(alg, weights.reshape(count, n_k, m_l))
+        p = np.diagonal(rho, axis1=-2, axis2=-1).real.copy()
+        del rho                     # keep only the diagonals in memory
+        a, b = factors[:, 0], factors[:, 1]
+        x = a.conj().swapaxes(-1, -2) @ a
+        y = b.conj().swapaxes(-1, -2) @ b
+        c = a @ b.conj().swapaxes(-1, -2)
+        xy = np.einsum("tij,tji->ti", x, y)
+        yx = np.einsum("tij,tji->ti", y, x)
+        cc = np.einsum("tji,tji->ti", c.conj(), c)
+        anti = np.sum(p * (xy + yx), axis=-1).real
+        cross = np.sum(p * xy, axis=-1)
+        csqr = np.sum(p * cc, axis=-1).real
+        residual = np.abs(cross - csqr)
 
-        anti_val = float(np.trace(rho @ anticommutator(x, y)).real)
-        cross_val = complex(np.trace(rho @ (x @ y)))
-        csqr_val = float(np.trace(rho @ (c.conj().T @ c)).real)
-        residual = abs(cross_val - csqr_val)
-
-        min_anti = min(min_anti, anti_val)
-        min_cross = min(min_cross, csqr_val)
-        max_residual = max(max_residual, residual)
-        scale = max(1.0, abs(csqr_val))
-        if anti_val < -DEFAULT_TOL or csqr_val < -DEFAULT_TOL or \
-                residual > DEFAULT_TOL * scale:
-            violations += 1
+        min_anti = min(min_anti, float(anti.min()))
+        min_cross = min(min_cross, float(csqr.min()))
+        max_residual = max(max_residual, float(residual.max()))
+        scale = np.maximum(1.0, np.abs(csqr))
+        violations += int(np.count_nonzero(
+            (anti < -DEFAULT_TOL) | (csqr < -DEFAULT_TOL)
+            | (residual > DEFAULT_TOL * scale)))
     return ProbeReport(
         kind="lemma", algebra=alg, trials=trials, violations=violations,
         passed=violations == 0, seed=seed,

@@ -102,6 +102,33 @@ def test_classical_state_rejects_bad_weights():
         ba.classical_state(alg, [[0.7]])            # not normalized
 
 
+def test_classical_state_stacked_weights():
+    rng = np.random.default_rng(8)
+    for blocks in [((2,), (2,)), ((2, 1), (3,)), ((1, 1), (1, 1))]:
+        alg = ba.BipartiteAlgebra(*blocks)
+        shape = (len(alg.blocks_a), len(alg.blocks_b))
+        w = rng.dirichlet(np.ones(shape[0] * shape[1]), size=(2, 3))
+        w = w.reshape((2, 3) + shape)
+        stacked = ba.classical_state(alg, w)
+        assert stacked.shape == (2, 3, alg.total_dim, alg.total_dim)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(stacked[i, j],
+                                      ba.classical_state(alg, w[i, j]))
+
+
+def test_classical_state_stack_rejects_any_bad_row():
+    alg = ba.BipartiteAlgebra((1, 1), (1,))
+    good = [[0.25], [0.75]]
+    for bad in ([[-0.2], [1.2]],           # negative
+                [[0.5], [0.7]],            # not normalized
+                [[np.nan], [1.0]]):        # not a number
+        with pytest.raises(ValueError):
+            ba.classical_state(alg, [good, bad, good])
+    with pytest.raises(ValueError):
+        ba.classical_state(alg, [0.25, 0.75])    # missing the (k, l) axes
+
+
 def test_classical_state_invariants():
     rng = np.random.default_rng(6)
     for blocks in [((2,), (2,)), ((2, 1), (3,)), ((1, 1), (1, 1))]:

@@ -4,10 +4,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import witnesslab
 from witnesslab import linalg as la
 from witnesslab.cli import main, parse_algebra, sector_basis_permutation
 from witnesslab.verify import check_entanglement_witness
@@ -186,6 +191,15 @@ def test_verify_malformed_file(tmp_path, capsys):
     assert err
 
 
+def test_verify_rejects_bool_dim(tmp_path, capsys):
+    bad = tmp_path / "bool_dim.json"
+    bad.write_text(json.dumps({"dim": True, "re": [1.0], "im": [0.0]}))
+    code, _, err = run_cli(capsys, "verify", "qw", "--in", str(bad),
+                           "--dims", "1", "1")
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_verify_missing_file(capsys):
     code, _, _ = run_cli(capsys, "verify", "ew", "--in", "/nonexistent.json",
                          "--dims", "2", "2")
@@ -212,6 +226,18 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
                                  "--dims", "2", "2", "--seed", "7")
     assert code == 0
     assert with_env == with_flag
+
+
+def test_seed_env_not_an_integer():
+    env = dict(os.environ, WITNESSLAB_SEED="abc",
+               PYTHONPATH=str(Path(witnesslab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "witnesslab.cli", "probe", "lemma",
+         "--alg", "2;2", "--trials", "1"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: WITNESSLAB_SEED")
 
 
 # ------------------------------------------------------------------- scan
