@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius, require_hermitian
-
-BLOCK_SCALAR_TOL = 1e-9
+from .linalg import (EXACT_TOL, TOL, as_matrix, frobenius, hermitian_part,
+                     require_hermitian)
 
 
 @dataclass(frozen=True)
@@ -111,26 +110,20 @@ def embedding_permutation(alg: BipartiteAlgebra) -> np.ndarray:
         [block_indices(alg, k, l) for k, l, _, _ in block_layout(alg)])
 
 
-def extract_block(m, alg: BipartiteAlgebra, k: int, l: int) -> np.ndarray:
-    idx = block_indices(alg, k, l)
-    return as_matrix(m)[np.ix_(idx, idx)]
-
-
-def in_algebra(m, alg: BipartiteAlgebra, tol: float | None = None) -> bool:
+def in_algebra(m, alg: BipartiteAlgebra) -> bool:
     """True iff ``m`` is supported only on the sector grids of ``alg``."""
     m = as_matrix(m)
     if m.shape[0] != alg.total_dim:
         raise ValueError(
             f"dimension {m.shape[0]} does not match algebra "
             f"dimension {alg.total_dim}")
-    if tol is None:
-        tol = BLOCK_SCALAR_TOL * max(1.0, frobenius(m))
     mask = np.zeros(m.shape, dtype=bool)
     for k, l, _, _ in block_layout(alg):
         idx = block_indices(alg, k, l)
         mask[np.ix_(idx, idx)] = True
     off = np.abs(m[~mask])
-    return off.size == 0 or float(off.max()) <= tol
+    cutoff = TOL * max(1.0, frobenius(m))
+    return off.size == 0 or float(off.max()) <= cutoff
 
 
 def require_in_algebra(m, alg: BipartiteAlgebra) -> np.ndarray:
@@ -165,7 +158,7 @@ def classical_state(alg: BipartiteAlgebra, weights) -> np.ndarray:
 
     ``weights`` has shape ``(..., len(blocks_a), len(blocks_b))``: every
     trailing (k, l) slice is one state's sector weights, nonnegative reals
-    summing to 1 within 1e-12.  The leading axes are kept, so the result
+    summing to 1 within EXACT_TOL.  The leading axes are kept, so the result
     has shape ``(..., total_dim, total_dim)``; a single (k, l) array gives
     a single matrix.  Any invalid slice rejects the whole stack.
     """
@@ -173,9 +166,9 @@ def classical_state(alg: BipartiteAlgebra, weights) -> np.ndarray:
     shape = (len(alg.blocks_a), len(alg.blocks_b))
     if p.shape[-2:] != shape:
         raise ValueError(f"weight shape {p.shape} does not match {shape}")
-    if not (p >= -1e-12).all():
+    if not (p >= -EXACT_TOL).all():
         raise ValueError("classical-state weights must be nonnegative")
-    if not (abs(p.sum(axis=(-2, -1)) - 1.0) <= 1e-12).all():
+    if not (abs(p.sum(axis=(-2, -1)) - 1.0) <= EXACT_TOL).all():
         raise ValueError("classical-state weights must sum to 1")
     rho = np.zeros(p.shape[:-2] + (alg.total_dim, alg.total_dim),
                    dtype=complex)
@@ -199,8 +192,7 @@ def classical_state_vertices(alg: BipartiteAlgebra) -> list[np.ndarray]:
     return vertices
 
 
-def is_classical_state(rho, alg: BipartiteAlgebra,
-                       tol: float = BLOCK_SCALAR_TOL) -> bool:
+def is_classical_state(rho, alg: BipartiteAlgebra) -> bool:
     """Structural classicality test: every sector a scalar multiple of I.
 
     States supported outside the sector grids are not elements of the
@@ -208,9 +200,10 @@ def is_classical_state(rho, alg: BipartiteAlgebra,
     """
     rho = require_in_algebra(rho, alg)
     for k, l, _, size in block_layout(alg):
-        sub = extract_block(rho, alg, k, l)
+        idx = block_indices(alg, k, l)
+        sub = rho[np.ix_(idx, idx)]
         scalar = np.trace(sub) / size
-        if np.abs(sub - scalar * np.eye(size)).max() > tol:
+        if np.abs(sub - scalar * np.eye(size)).max() > TOL:
             return False
     return True
 
@@ -277,10 +270,9 @@ def _random_element(alg: BipartiteAlgebra, rng: np.random.Generator,
     """Hermitian (G + G^dag)/2, or G^dag G if ``positive``, stacked over
     ``shape`` like ``_random_block_raw``."""
     g = _random_block_raw(alg, rng, shape)
-    g_dag = g.conj().swapaxes(-1, -2)
     if positive:
-        return g_dag @ g
-    return (g + g_dag) / 2.0
+        return g.conj().swapaxes(-1, -2) @ g
+    return hermitian_part(g)
 
 
 def random_algebra_element(alg: BipartiteAlgebra, seed: int,

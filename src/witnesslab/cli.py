@@ -160,11 +160,6 @@ def xi_sweep_scan(steps: int, d: int = 2, phi: float = 0.0):
     return rows
 
 
-def fig1_scan(grid_n: int):
-    from .witnesses import fig1_surfaces
-    return fig1_surfaces(grid_n)
-
-
 _SCAN_HEADERS = {
     "chi-threshold": ["re_ab", "exp_S", "exp_EBell"],
     "fig1": ["u", "v", "bound", "min_ratio"],
@@ -336,15 +331,18 @@ def cmd_verify(args) -> int:
 
 def cmd_scan(args) -> int:
     kind = args.kind
+    steps = args.steps
+    if steps is None:
+        steps = DEFAULT_FIG1_STEPS if kind == "fig1" else DEFAULT_STEPS
     if kind == "chi-threshold":
-        rows = chi_threshold_scan(args.steps or DEFAULT_STEPS)
+        rows = chi_threshold_scan(steps)
     elif kind == "fig1":
-        rows = fig1_scan(args.steps or DEFAULT_FIG1_STEPS)
+        from .witnesses import fig1_surfaces
+        rows = fig1_surfaces(steps)
     elif kind == "ratio-theta":
-        rows = ratio_theta_scan(args.steps or DEFAULT_STEPS)
+        rows = ratio_theta_scan(steps)
     elif kind == "xi-sweep":
-        rows = xi_sweep_scan(args.steps or DEFAULT_STEPS, d=args.d,
-                             phi=args.phi)
+        rows = xi_sweep_scan(steps, d=args.d, phi=args.phi)
     else:
         raise ValueError(f"unknown scan kind {kind!r}")
     _write_csv(args.out, _SCAN_HEADERS[kind], rows)

@@ -20,12 +20,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Tolerances for deciding Hermiticity / positivity at desk scale.  The
-# Hermiticity and PSD cutoffs scale with max(1, ||M||_F).
-HERMITICITY_TOL = 1e-9
-PSD_TOL = 1e-9
-EIG_RESIDUAL_TOL = 1e-9
-IMAG_EXPECTATION_TOL = 1e-10
+# Tolerance policy: every "is this zero?" decision in the package uses one
+# of these cutoffs.  README, "Tolerances", lists which call sites scale
+# them by max(1, ||M||_F) and which compare absolutely.
+TOL = 1e-9            # Hermiticity, PSD, sectors, verdicts, probe checks
+EXACT_TOL = 1e-12     # unit traces, weights, Bloch lengths, the noise floor
+RESIDUAL_TOL = 1e-10  # imaginary parts of expectations, M^2 = I
 
 
 def as_matrix(m) -> np.ndarray:
@@ -42,11 +42,15 @@ def frobenius(m) -> float:
     return float(np.linalg.norm(m))
 
 
-def is_hermitian(m, tol: float | None = None) -> bool:
+def is_hermitian(m) -> bool:
     m = as_matrix(m)
-    if tol is None:
-        tol = HERMITICITY_TOL * max(1.0, frobenius(m))
-    return float(np.abs(m - m.conj().T).max()) <= tol
+    cutoff = TOL * max(1.0, frobenius(m))
+    return float(np.abs(m - m.conj().T).max()) <= cutoff
+
+
+def hermitian_part(m) -> np.ndarray:
+    """(M + M^dag) / 2, over the last two axes of a matrix or a stack."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def require_hermitian(m, what: str = "operator") -> np.ndarray:
@@ -108,26 +112,26 @@ def hermitian_eigensystem(h) -> EigenSystem:
     input.  Raises if ``h`` is not Hermitian within tolerance.
     """
     h = require_hermitian(h)
-    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+    w, v = np.linalg.eigh(hermitian_part(h))
     return EigenSystem(w, v)
 
 
 def is_positive_semidefinite(h) -> tuple[bool, float]:
     """(PSD verdict, minimum eigenvalue) for a Hermitian matrix."""
     h = require_hermitian(h)
-    min_eig = float(np.linalg.eigvalsh((h + h.conj().T) / 2.0)[0])
-    return min_eig >= -PSD_TOL * max(1.0, frobenius(h)), min_eig
+    min_eig = float(np.linalg.eigvalsh(hermitian_part(h))[0])
+    return min_eig >= -TOL * max(1.0, frobenius(h)), min_eig
 
 
 def expectation(rho, o) -> float:
     """tr(rho @ o) as a real number.
 
-    The imaginary residual must stay below IMAG_EXPECTATION_TOL; a larger
-    one signals corrupted (non-Hermitian) inputs and raises.
+    The imaginary residual must stay within RESIDUAL_TOL; a larger one
+    signals corrupted (non-Hermitian) inputs and raises.
     """
     rho, o = _pair(rho, o)
     val = complex(np.trace(rho @ o))
-    if abs(val.imag) > IMAG_EXPECTATION_TOL:
+    if abs(val.imag) > RESIDUAL_TOL:
         raise ValueError(f"expectation has imaginary residual {val.imag:.3e}")
     return val.real
 

@@ -21,23 +21,20 @@ import numpy as np
 
 from .algebra import (BipartiteAlgebra, block_indices, block_layout,
                       classical_state, classical_state_vertices,
-                      extract_block, full_algebra, require_in_algebra,
+                      full_algebra, require_in_algebra,
                       _random_block_raw, _random_element)
-from .linalg import (anticommutator, expectation, frobenius, matrix_to_json,
-                     require_hermitian)
+from .linalg import (EXACT_TOL, TOL, anticommutator, expectation, frobenius,
+                     hermitian_part, matrix_to_json, require_hermitian)
 from .states import pure_state
 from .witnesses import QubitQWParams, qubit_qw
 
-DEFAULT_TOL = 1e-9
 SEESAW_CONVERGENCE = 1e-12
 SEESAW_MAX_ITERS = 500
 GRID_ORACLE_MAX_DIM = 6
 GRID_ORACLE_AGREEMENT = 1e-6
-# Estimates this close to zero are indistinguishable from an exact-zero
-# product minimum (swap and Bell sit exactly on the boundary); anything
-# between the noise floor and -tol is a real sub-tolerance signal and is
-# reported as inconclusive rather than rounded away.
-NOISE_FLOOR = 1e-12
+# The noncommutative theorem-1 search takes a pair only when {X, Y} has an
+# eigenvalue this far below zero, clear of rounding.
+THEOREM1_SEARCH_MARGIN = 1e-8
 # Probe trials are evaluated this many at a time as stacked (T, n, n)
 # arrays, so memory stays flat however many trials are asked for.
 PROBE_BLOCK = 1024
@@ -72,15 +69,14 @@ class WitnessReport:
         }
 
 
-def check_quantumness_witness(q, alg: BipartiteAlgebra,
-                              tol: float = DEFAULT_TOL) -> WitnessReport:
+def check_quantumness_witness(q, alg: BipartiteAlgebra) -> WitnessReport:
     """Decide whether ``q`` is a quantumness witness over ``alg``.
 
     Condition (i) (nonnegative on classical states) is exact: the minimum
     of a linear functional over the classical simplex sits at a vertex.
     Condition (ii) (some state goes negative) is the minimum eigenvalue,
     computed sector by sector; the certificate is the projector onto the
-    most negative eigenvector.
+    most negative eigenvector.  Both conditions compare against TOL.
     """
     q = require_hermitian(q, "witness")
     q = require_in_algebra(q, alg)
@@ -94,8 +90,7 @@ def check_quantumness_witness(q, alg: BipartiteAlgebra,
     bottom = None
     for k, l, _, _ in block_layout(alg):
         idx = block_indices(alg, k, l)
-        sub = extract_block(q, alg, k, l)
-        w, v = np.linalg.eigh((sub + sub.conj().T) / 2.0)
+        w, v = np.linalg.eigh(hermitian_part(q[np.ix_(idx, idx)]))
         if w[0] < min_eig:
             min_eig = float(w[0])
             vec = np.zeros(alg.total_dim, dtype=complex)
@@ -103,8 +98,8 @@ def check_quantumness_witness(q, alg: BipartiteAlgebra,
             bottom = vec
     eigen_certificate = pure_state(bottom)
 
-    classical_ok = min_classical >= -tol
-    has_negative = min_eig < -tol
+    classical_ok = min_classical >= -TOL
+    has_negative = min_eig < -TOL
     if classical_ok and has_negative:
         verdict = "confirmed"
         certificate = eigen_certificate
@@ -125,7 +120,7 @@ def check_quantumness_witness(q, alg: BipartiteAlgebra,
         certificate_state=certificate,
         violating_vertex=vertex,
         restarts_used=0,
-        tolerance=tol,
+        tolerance=TOL,
         heuristic=False,
     )
 
@@ -144,10 +139,10 @@ def _seesaw_from(e4, a, b):
     value = _product_value(e4, a, b)
     for _ in range(SEESAW_MAX_ITERS):
         m_a = np.einsum("ijkl,j,l->ik", e4, b.conj(), b)
-        _, vecs = np.linalg.eigh((m_a + m_a.conj().T) / 2.0)
+        _, vecs = np.linalg.eigh(hermitian_part(m_a))
         a = vecs[:, 0]
         m_b = np.einsum("ijkl,i,k->jl", e4, a.conj(), a)
-        _, vecs = np.linalg.eigh((m_b + m_b.conj().T) / 2.0)
+        _, vecs = np.linalg.eigh(hermitian_part(m_b))
         b = vecs[:, 0]
         new_value = _product_value(e4, a, b)
         if abs(new_value - value) < SEESAW_CONVERGENCE:
@@ -157,10 +152,10 @@ def _seesaw_from(e4, a, b):
     return value, a, b
 
 
-def _bloch_grid(step_degrees: float = 5.0) -> np.ndarray:
-    """Qubit pure states (cos(t/2), e^{i p} sin(t/2)) on an angular grid."""
-    thetas = np.deg2rad(np.arange(0.0, 180.0 + step_degrees, step_degrees))
-    phis = np.deg2rad(np.arange(0.0, 360.0, step_degrees))
+def _bloch_grid() -> np.ndarray:
+    """Qubit pure states (cos(t/2), e^{i p} sin(t/2)) on a 5-degree grid."""
+    thetas = np.deg2rad(np.arange(0.0, 185.0, 5.0))
+    phis = np.deg2rad(np.arange(0.0, 360.0, 5.0))
     t, p = np.meshgrid(thetas, phis, indexing="ij")
     grid = np.stack([np.cos(t / 2.0) + 0j,
                      np.exp(1j * p) * np.sin(t / 2.0)], axis=-1)
@@ -190,7 +185,7 @@ def _grid_polish_minimum(e, d_a, d_b):
         contracted = np.einsum("ijkl,gi,gk->gjl", e4, grid.conj(), grid)
     else:
         contracted = np.einsum("ijkl,gj,gl->gik", e4, grid.conj(), grid)
-    contracted = (contracted + contracted.conj().transpose(0, 2, 1)) / 2.0
+    contracted = hermitian_part(contracted)
     eigs = np.linalg.eigvalsh(contracted)
     best_g = int(np.argmin(eigs[:, 0]))
 
@@ -205,16 +200,18 @@ def _grid_polish_minimum(e, d_a, d_b):
 
 
 def check_entanglement_witness(e, d_a: int, d_b: int, restarts: int = 32,
-                               seed: int = 42,
-                               tol: float = DEFAULT_TOL) -> WitnessReport:
+                               seed: int = 42) -> WitnessReport:
     """Certify ``e`` as an entanglement witness on C^d_a (x) C^d_b.
 
     The separable minimum equals the pure-product minimum by convexity;
     it is estimated with ``restarts`` independent see-saw runs (ordered
     reduction, so a fixed seed reproduces the report exactly).  For total
-    dimension <= 6 a grid+polish oracle must agree within 1e-6 or the run
-    fails.  A nonnegative estimate only upper-bounds the truth, so a
-    confirmed verdict is flagged heuristic.
+    dimension <= GRID_ORACLE_MAX_DIM a grid+polish oracle must agree within
+    GRID_ORACLE_AGREEMENT or the run fails.  A nonnegative estimate only
+    upper-bounds the truth, so a confirmed verdict is flagged heuristic.
+    An estimate between -TOL and the noise floor
+    -EXACT_TOL * max(1, ||E||_F) is a real sub-tolerance signal (swap and
+    Bell sit exactly at zero) and is reported as inconclusive.
     """
     e = require_hermitian(e, "witness")
     if d_a * d_b != e.shape[0]:
@@ -246,14 +243,14 @@ def check_entanglement_witness(e, d_a: int, d_b: int, restarts: int = 32,
                 f"({oracle_value:.12g}) disagree beyond "
                 f"{GRID_ORACLE_AGREEMENT}")
 
-    w, v = np.linalg.eigh((e + e.conj().T) / 2.0)
+    w, v = np.linalg.eigh(hermitian_part(e))
     min_eig = float(w[0])
     eigen_certificate = pure_state(v[:, 0])
     product_certificate = pure_state(
         np.kron(best_pair[0], best_pair[1]))
 
-    noise = NOISE_FLOOR * max(1.0, frobenius(e))
-    if best_value < -tol:
+    noise = EXACT_TOL * max(1.0, frobenius(e))
+    if best_value < -TOL:
         verdict = "refuted"            # negative on a separable state
         certificate = product_certificate
         heuristic = False
@@ -261,7 +258,7 @@ def check_entanglement_witness(e, d_a: int, d_b: int, restarts: int = 32,
         verdict = "inconclusive"       # boundary case, reported as-is
         certificate = product_certificate
         heuristic = True
-    elif min_eig < -tol:
+    elif min_eig < -TOL:
         verdict = "confirmed"
         certificate = eigen_certificate
         heuristic = True               # see-saw only upper-bounds the minimum
@@ -277,13 +274,12 @@ def check_entanglement_witness(e, d_a: int, d_b: int, restarts: int = 32,
         certificate_state=certificate,
         violating_vertex=None,
         restarts_used=restarts,
-        tolerance=tol,
+        tolerance=TOL,
         heuristic=heuristic,
     )
 
 
-def ew_implies_qw(e, d_a: int, d_b: int, restarts: int = 32, seed: int = 42,
-                  tol: float = DEFAULT_TOL):
+def ew_implies_qw(e, d_a: int, d_b: int, restarts: int = 32, seed: int = 42):
     """Run both certifiers over the full product algebra.
 
     For the irreducible algebra the only classical state is the maximally
@@ -292,8 +288,8 @@ def ew_implies_qw(e, d_a: int, d_b: int, restarts: int = 32, seed: int = 42,
     a confirmed quantumness witness; anything else is an internal error.
     """
     alg = full_algebra(d_a, d_b)
-    ew = check_entanglement_witness(e, d_a, d_b, restarts, seed, tol)
-    qw = check_quantumness_witness(e, alg, tol)
+    ew = check_entanglement_witness(e, d_a, d_b, restarts, seed)
+    qw = check_quantumness_witness(e, alg)
     if ew.verdict == "confirmed" and qw.verdict != "confirmed":
         raise RuntimeError(
             "confirmed entanglement witness failed the quantumness check; "
@@ -392,12 +388,10 @@ def theorem1_probe(alg, trials: int, seed: int = 42) -> ProbeReport:
             xy, yx = x @ y, y @ x
             anti = xy + yx
             scale = np.maximum(1.0, np.linalg.norm(anti, axis=(-2, -1)))
-            min_eig = np.linalg.eigvalsh(
-                (anti + anti.conj().swapaxes(-1, -2)) / 2.0)[:, 0]
-            noncommuting = np.linalg.norm(xy - yx, axis=(-2, -1)) \
-                > DEFAULT_TOL * scale
+            min_eig = np.linalg.eigvalsh(hermitian_part(anti))[:, 0]
+            noncommuting = np.linalg.norm(xy - yx, axis=(-2, -1)) > TOL * scale
             violations += int(np.count_nonzero(
-                (min_eig < -DEFAULT_TOL * scale) | noncommuting))
+                (min_eig < -TOL * scale) | noncommuting))
             min_seen = min(min_seen, float(min_eig.min()))
         return ProbeReport(
             kind="theorem1", algebra=alg, trials=trials,
@@ -413,8 +407,8 @@ def theorem1_probe(alg, trials: int, seed: int = 42) -> ProbeReport:
         x = _random_element(alg, rng, positive=True)
         y = _random_element(alg, rng, positive=True)
         anti = anticommutator(x, y)
-        min_eig = float(np.linalg.eigvalsh((anti + anti.conj().T) / 2.0)[0])
-        if min_eig < -1e-8:
+        min_eig = float(np.linalg.eigvalsh(hermitian_part(anti))[0])
+        if min_eig < -THEOREM1_SEARCH_MARGIN:
             witness = (x, y)
             lam_min = min_eig
             break
@@ -444,9 +438,10 @@ def classical_lemma_test(alg, trials: int, seed: int = 42) -> ProbeReport:
 
     Each trial draws a random classical state (Dirichlet sector weights)
     and a positive pair X = A^dag A, Y = B^dag B from random sector
-    factors, then asserts tr(rho {X,Y}) >= -1e-9 together with the
-    factorization step tr(rho X Y) = tr(rho C^dag C) >= -1e-9 for
-    C = A B^dag.  No trace is computed from another: tr(rho {X,Y}) sums
+    factors, then asserts tr(rho {X,Y}) >= -TOL together with the
+    factorization step tr(rho X Y) = tr(rho C^dag C) >= -TOL for
+    C = A B^dag (the identity within TOL * max(1, |tr(rho C^dag C)|)).
+    No trace is computed from another: tr(rho {X,Y}) sums
     the diagonals of X Y and Y X, the cross term takes that of X Y, and
     tr(rho C^dag C) comes from C alone.
 
@@ -496,8 +491,7 @@ def classical_lemma_test(alg, trials: int, seed: int = 42) -> ProbeReport:
         max_residual = max(max_residual, float(residual.max()))
         scale = np.maximum(1.0, np.abs(csqr))
         violations += int(np.count_nonzero(
-            (anti < -DEFAULT_TOL) | (csqr < -DEFAULT_TOL)
-            | (residual > DEFAULT_TOL * scale)))
+            (anti < -TOL) | (csqr < -TOL) | (residual > TOL * scale)))
     return ProbeReport(
         kind="lemma", algebra=alg, trials=trials, violations=violations,
         passed=violations == 0, seed=seed,

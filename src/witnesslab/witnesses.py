@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (as_matrix, anticommutator, frobenius,
-                     hermitian_eigensystem, is_positive_semidefinite, tensor)
-
-DICHOTOMIC_TOL = 1e-10
+from .linalg import (EXACT_TOL, RESIDUAL_TOL, as_matrix, anticommutator,
+                     frobenius, is_positive_semidefinite, tensor)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -42,7 +40,7 @@ def swap_operator(d: int) -> np.ndarray:
 
 def _require_dichotomic(m, name):
     m = as_matrix(m)
-    if frobenius(m @ m - np.eye(m.shape[0])) > DICHOTOMIC_TOL:
+    if frobenius(m @ m - np.eye(m.shape[0])) > RESIDUAL_TOL:
         raise ValueError(f"{name} is not dichotomic (square != identity)")
     return m
 
@@ -150,8 +148,8 @@ class QubitQWParams:
             raise ValueError("alpha and beta must be strictly positive")
         self.u = np.asarray(self.u, dtype=float).reshape(3)
         self.v = np.asarray(self.v, dtype=float).reshape(3)
-        if np.linalg.norm(self.u) > 1.0 + 1e-12 or \
-                np.linalg.norm(self.v) > 1.0 + 1e-12:
+        if np.linalg.norm(self.u) > 1.0 + EXACT_TOL or \
+                np.linalg.norm(self.v) > 1.0 + EXACT_TOL:
             raise ValueError("Bloch vectors must have length <= 1")
 
 
@@ -193,19 +191,19 @@ def qubit_qw_condition(u_len: float, v_len: float, theta: float) -> bool:
     return sin_t * sin_t * u2 * v2 > (1.0 - u2) * (1.0 - v2)
 
 
-def fig1_surfaces(grid_n: int, theta_points: int = 1024):
+def fig1_surfaces(grid_n: int):
     """Witnessability bound and extremal eigenvalue ratio over (0,1]^2.
 
     For each (u, v) on a uniform grid of (0,1]^2 the bound is
     (u^2+v^2-1)/(u^2 v^2) (an upper bound on cos^2 theta); min_ratio is
-    the smallest lambda_minus/lambda_plus over a theta grid restricted to
-    points with lambda_minus < 0, or None when no angle witnesses.
+    the smallest lambda_minus/lambda_plus over 1024 angles in [0, pi] with
+    lambda_minus < 0, or None when no angle witnesses.
     Returns rows (u, v, bound, min_ratio).
     """
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
     axis = np.arange(1, grid_n + 1) / grid_n
-    thetas = np.linspace(0.0, math.pi, theta_points)
+    thetas = np.linspace(0.0, math.pi, 1024)
     cos_t = np.cos(thetas)
     rows = []
     for u in axis:
@@ -283,8 +281,3 @@ def shifted_swap_factors(p: ShiftedSwapParams):
     shifted = xi * np.eye(n) + swap_operator(d)
     residual = frobenius(anticommutator(x, y) - shifted)
     return x, y, residual
-
-
-def operator_spectrum(m) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian operator (report helper)."""
-    return hermitian_eigensystem(m).eigenvalues

@@ -102,6 +102,21 @@ def test_classical_state_rejects_bad_weights():
         ba.classical_state(alg, [[0.7]])            # not normalized
 
 
+@pytest.mark.parametrize("offset,accepted", [(0.5e-12, True),
+                                             (2e-12, False)])
+def test_classical_state_weight_boundary(offset, accepted):
+    # absolute cutoff EXACT_TOL = 1e-12 on the weight sum and the signs
+    alg = ba.BipartiteAlgebra((1, 1), (1, 1))
+    off_sum = [[0.25, 0.25], [0.25, 0.25 + offset]]
+    negative = [[0.5 + offset, 0.5], [0.0, -offset]]
+    for weights in (off_sum, negative):
+        if accepted:
+            ba.classical_state(alg, weights)
+        else:
+            with pytest.raises(ValueError):
+                ba.classical_state(alg, weights)
+
+
 def test_classical_state_stacked_weights():
     rng = np.random.default_rng(8)
     for blocks in [((2,), (2,)), ((2, 1), (3,)), ((1, 1), (1, 1))]:

@@ -319,6 +319,18 @@ def test_scan_rejects_bad_grid(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["chi-threshold", "fig1", "ratio-theta",
+                                  "xi-sweep"])
+def test_scan_rejects_zero_steps(tmp_path, capsys, kind):
+    # --steps 0 is an invalid grid, not a request for the default one
+    out = tmp_path / "scan.csv"
+    code, _, err = run_cli(capsys, "scan", kind, "--steps", "0",
+                           "--out", str(out))
+    assert code == 2
+    assert err.startswith("error:")
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ probe
 
 def test_probe_theorem1_commutative(capsys):

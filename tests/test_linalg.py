@@ -185,7 +185,7 @@ def test_eigensystem_reconstruction_invariant():
         assert np.abs(v.conj().T @ v - np.eye(n)).max() <= 1e-10
         # per-column residual bound ||H v_i - w_i v_i|| <= tol * ||H||_F
         residuals = np.linalg.norm(h @ v - v * w, axis=0)
-        assert residuals.max() <= la.EIG_RESIDUAL_TOL * la.frobenius(h)
+        assert residuals.max() <= la.TOL * la.frobenius(h)
 
 
 def test_eigensystem_deterministic():
@@ -195,6 +195,17 @@ def test_eigensystem_deterministic():
     second = la.hermitian_eigensystem(h.copy())
     assert np.array_equal(first.eigenvalues, second.eigenvalues)
     assert np.array_equal(first.eigenvectors, second.eigenvectors)
+
+
+@pytest.mark.parametrize("scale", [0.01, 50.0])
+@pytest.mark.parametrize("factor,accepted", [(0.5, True), (2.0, False)])
+def test_is_hermitian_boundary(scale, factor, accepted):
+    # cutoff TOL * max(1, ||M||_F) with TOL = 1e-9, on max |M - M^dag|
+    h = scale * rand_hermitian(np.random.default_rng(3), 4)
+    cutoff = 1e-9 * max(1.0, la.frobenius(h))
+    anti = np.zeros((4, 4), dtype=complex)
+    anti[0, 1], anti[1, 0] = 0.5, -0.5        # max |A - A^dag| = 1
+    assert la.is_hermitian(h + factor * cutoff * anti) == accepted
 
 
 def test_eigensystem_rejects_non_hermitian():
@@ -263,6 +274,19 @@ def test_expectation_flags_corrupted_inputs():
     nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         la.expectation(nilpotent, SY)
+
+
+@pytest.mark.parametrize("residual,accepted", [(0.5e-10, True),
+                                               (2e-10, False)])
+def test_expectation_imaginary_residual_boundary(residual, accepted):
+    # absolute cutoff RESIDUAL_TOL = 1e-10 on the imaginary part
+    rho = np.diag([1.0, 0.0])
+    o = np.diag([1.0 + 1j * residual, 0.0])
+    if accepted:
+        assert la.expectation(rho, o) == 1.0
+    else:
+        with pytest.raises(ValueError):
+            la.expectation(rho, o)
 
 
 # ----------------------------------------------------- partial transpose

@@ -1,6 +1,8 @@
 """Tests for state construction and the random samplers."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +185,30 @@ def test_separable_single_term_is_pure_product():
     pt_min = la.hermitian_eigensystem(
         la.partial_transpose(rho, 2, 2)).eigenvalues[0]
     assert pt_min >= -1e-10
+
+
+SAMPLER_PARITY = json.loads(
+    (Path(__file__).parent / "data" / "state_sampler_parity.json").read_text())
+
+
+def test_separable_samples_match_pinned_outputs():
+    # Recorded from the term-by-term sampler (one standard_normal call per
+    # real or imaginary part); the stacked draw must give the same bits.
+    assert len(SAMPLER_PARITY["cases"]) >= 10
+    for case in SAMPLER_PARITY["cases"]:
+        rho, dec = ws.random_separable(case["d_a"], case["d_b"],
+                                       num_terms=case["num_terms"],
+                                       seed=case["seed"])
+        assert la.matrix_to_json(rho) == case["rho"]
+        assert dec.to_json() == case["decomposition"]
+
+
+def test_pure_product_samples_match_pinned_outputs():
+    for case in SAMPLER_PARITY["pure_product"]:
+        rho, dec = ws.random_pure_product(case["d_a"], case["d_b"],
+                                          case["seed"])
+        assert la.matrix_to_json(rho) == case["rho"]
+        assert dec.to_json() == case["decomposition"]
 
 
 def test_random_density_invariants():

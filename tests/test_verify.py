@@ -137,6 +137,21 @@ def test_ew_identity_refuted_without_negativity():
     assert report.min_eigenvalue >= 1.0 - 1e-12
 
 
+@pytest.mark.parametrize("shift,verdict", [
+    (0.0, "confirmed"),
+    (0.5e-12, "confirmed"),         # inside the noise floor 1e-12 * ||E||_F
+    (1e-10, "inconclusive"),
+    (5e-10, "inconclusive"),
+    (2e-9, "refuted"),              # below -TOL = -1e-9
+])
+def test_ew_verdict_boundaries(shift, verdict):
+    # swap has product minimum exactly 0, so S - shift*I sits at -shift
+    e = swap_operator(2) - shift * np.eye(4)
+    report = check_entanglement_witness(e, 2, 2, seed=42)
+    assert report.verdict == verdict
+    assert abs(report.min_product_expectation + shift) < 1e-12
+
+
 def test_ew_seesaw_deterministic():
     e = bell_chsh(standard_bell_settings(+1))
     first = check_entanglement_witness(e, 2, 2, restarts=8, seed=11)
