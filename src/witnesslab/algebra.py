@@ -13,12 +13,16 @@ first factor, the B blocks of the second.  Sector (k, l) therefore lives
 on the index grid (range of block k) x (range of block l), which is not
 contiguous in general.  ``block_layout`` reports the canonical contiguous
 ordering (k-major, then l) and ``embedding_permutation`` maps it onto the
-interleaved physical indices.
+interleaved physical indices.  ``sector_labels`` gives each physical index
+its sector's layout position; sector support, the embedding and classical
+states all come from it.  The vertices are kept as diagonals and built
+densely only when indexed.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,10 +108,16 @@ def block_indices(alg: BipartiteAlgebra, k: int, l: int) -> np.ndarray:
     return (rows[:, None] + cols[None, :]).ravel()
 
 
+def sector_labels(alg: BipartiteAlgebra) -> np.ndarray:
+    """The ``block_layout`` position of each full-space index's sector."""
+    k = np.repeat(np.arange(len(alg.blocks_a)), alg.blocks_a)
+    l = np.repeat(np.arange(len(alg.blocks_b)), alg.blocks_b)
+    return (k[:, None] * len(alg.blocks_b) + l[None, :]).ravel()
+
+
 def embedding_permutation(alg: BipartiteAlgebra) -> np.ndarray:
     """Permutation p with p[canonical position] = physical index."""
-    return np.concatenate(
-        [block_indices(alg, k, l) for k, l, _, _ in block_layout(alg)])
+    return np.argsort(sector_labels(alg), kind="stable")
 
 
 def in_algebra(m, alg: BipartiteAlgebra) -> bool:
@@ -117,17 +127,14 @@ def in_algebra(m, alg: BipartiteAlgebra) -> bool:
         raise ValueError(
             f"dimension {m.shape[0]} does not match algebra "
             f"dimension {alg.total_dim}")
-    mask = np.zeros(m.shape, dtype=bool)
-    for k, l, _, _ in block_layout(alg):
-        idx = block_indices(alg, k, l)
-        mask[np.ix_(idx, idx)] = True
-    off = np.abs(m[~mask])
+    label = sector_labels(alg)
+    off = np.abs(m[label[:, None] != label[None, :]])
     cutoff = TOL * max(1.0, frobenius(m))
     return off.size == 0 or float(off.max()) <= cutoff
 
 
 def require_in_algebra(m, alg: BipartiteAlgebra) -> np.ndarray:
-    m = as_matrix(m)
+    m = np.asarray(m, dtype=complex)     # in_algebra validates it
     if not in_algebra(m, alg):
         raise ValueError("operator is not in the algebra "
                          "(support crosses sector boundaries)")
@@ -170,26 +177,34 @@ def classical_state(alg: BipartiteAlgebra, weights) -> np.ndarray:
         raise ValueError("classical-state weights must be nonnegative")
     if not (abs(p.sum(axis=(-2, -1)) - 1.0) <= EXACT_TOL).all():
         raise ValueError("classical-state weights must sum to 1")
-    rho = np.zeros(p.shape[:-2] + (alg.total_dim, alg.total_dim),
-                   dtype=complex)
-    # The transposed views put the sector and matrix axes first, so one
-    # assignment per sector fills its diagonal in every state of a stack.
-    p_t, rho_t = p.T, rho.T
-    for k, l, _, size in block_layout(alg):
-        idx = block_indices(alg, k, l)
-        rho_t[idx, idx] = p_t[l, k] / size
+    n, label = alg.total_dim, sector_labels(alg)
+    rho = np.zeros(p.shape[:-2] + (n, n), dtype=complex)
+    flat = p.reshape(p.shape[:-2] + (-1,))       # weights in layout order
+    rho[..., range(n), range(n)] = flat[..., label] / np.bincount(label)[label]
     return rho
 
 
-def classical_state_vertices(alg: BipartiteAlgebra) -> list[np.ndarray]:
+@dataclass(frozen=True, eq=False)
+class ClassicalVertices(Sequence):
+    """The vertex states, one per sector: row j of ``diagonals`` holds
+    1/size_j on sector j's indices; ``vertices[j]`` is built on demand."""
+
+    diagonals: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.diagonals)
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        return np.diag(self.diagonals[j].astype(complex))
+
+
+def classical_state_vertices(alg: BipartiteAlgebra) -> ClassicalVertices:
     """Extreme points of the classical-state simplex, one per sector."""
-    vertices = []
-    nk_count, ml_count = len(alg.blocks_a), len(alg.blocks_b)
-    for k, l, _, _ in block_layout(alg):
-        w = np.zeros((nk_count, ml_count))
-        w[k, l] = 1.0
-        vertices.append(classical_state(alg, w))
-    return vertices
+    label = sector_labels(alg)
+    sizes = np.bincount(label)
+    diagonals = np.zeros((sizes.size, alg.total_dim))
+    diagonals[label, np.arange(alg.total_dim)] = 1.0 / sizes[label]
+    return ClassicalVertices(diagonals)
 
 
 def is_classical_state(rho, alg: BipartiteAlgebra) -> bool:
@@ -217,15 +232,8 @@ def classicality_violation(rho, alg: BipartiteAlgebra):
     Returns the strongest certificate, or None if all probes vanish.
     """
     rho = require_in_algebra(rho, alg)
-    dim = alg.total_dim
     best = None
     best_val = 0.0
-
-    def unit(i, j):
-        e = np.zeros((dim, dim), dtype=complex)
-        e[i, j] = 1.0
-        return e
-
     for k, l, _, _ in block_layout(alg):
         idx = block_indices(alg, k, l)
         for a in range(idx.size):
@@ -234,14 +242,15 @@ def classicality_violation(rho, alg: BipartiteAlgebra):
                 coherence = rho[j, i]          # tr(rho E_ij)
                 if abs(coherence) > abs(best_val):
                     best_val = coherence
-                    best = (unit(i, i), unit(i, j))
+                    best = ((i, i), (i, j))
                 imbalance = rho[i, i] - rho[j, j]
                 if abs(imbalance) > abs(best_val):
                     best_val = imbalance
-                    best = (unit(i, j), unit(j, i))
+                    best = ((i, j), (j, i))
     if best is None or abs(best_val) == 0.0:
         return None
-    x, y = best
+    x, y = np.zeros((2, alg.total_dim, alg.total_dim), dtype=complex)
+    x[best[0]] = y[best[1]] = 1.0
     value = complex(np.trace(rho @ (x @ y - y @ x)))
     return x, y, value
 

@@ -42,10 +42,15 @@ def frobenius(m) -> float:
     return float(np.linalg.norm(m))
 
 
+def _hermitian_scale(m: np.ndarray) -> float | None:
+    """max(1, ||M||_F) of a checked matrix M, or None if M is not Hermitian
+    within TOL at that scale."""
+    scale = max(1.0, frobenius(m))
+    return scale if np.abs(m - m.conj().T).max() <= TOL * scale else None
+
+
 def is_hermitian(m) -> bool:
-    m = as_matrix(m)
-    cutoff = TOL * max(1.0, frobenius(m))
-    return float(np.abs(m - m.conj().T).max()) <= cutoff
+    return _hermitian_scale(as_matrix(m)) is not None
 
 
 def hermitian_part(m) -> np.ndarray:
@@ -55,7 +60,7 @@ def hermitian_part(m) -> np.ndarray:
 
 def require_hermitian(m, what: str = "operator") -> np.ndarray:
     m = as_matrix(m)
-    if not is_hermitian(m):
+    if _hermitian_scale(m) is None:
         raise ValueError(f"{what} is not Hermitian within tolerance")
     return m
 
@@ -116,11 +121,14 @@ def hermitian_eigensystem(h) -> EigenSystem:
     return EigenSystem(w, v)
 
 
-def is_positive_semidefinite(h) -> tuple[bool, float]:
+def is_positive_semidefinite(h, what: str = "operator") -> tuple[bool, float]:
     """(PSD verdict, minimum eigenvalue) for a Hermitian matrix."""
-    h = require_hermitian(h)
+    h = as_matrix(h)
+    scale = _hermitian_scale(h)
+    if scale is None:
+        raise ValueError(f"{what} is not Hermitian within tolerance")
     min_eig = float(np.linalg.eigvalsh(hermitian_part(h))[0])
-    return min_eig >= -TOL * max(1.0, frobenius(h)), min_eig
+    return min_eig >= -TOL * scale, min_eig
 
 
 def expectation(rho, o) -> float:

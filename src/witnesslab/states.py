@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (EXACT_TOL, is_positive_semidefinite, matrix_from_json,
-                     matrix_to_json, require_hermitian, tensor)
+                     matrix_to_json, tensor)
 
 KET_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 KET_MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
@@ -22,11 +22,11 @@ KET_MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
 
 def assert_density_matrix(rho) -> np.ndarray:
     """Validate Hermiticity, unit trace and positivity; return the matrix."""
-    rho = require_hermitian(rho, "state")
+    ok, min_eig = is_positive_semidefinite(rho, "state")
+    rho = np.asarray(rho, dtype=complex)    # checked just now
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > EXACT_TOL:
         raise ValueError(f"state trace {tr} is not 1")
-    ok, min_eig = is_positive_semidefinite(rho)
     if not ok:
         raise ValueError(f"state has negative eigenvalue {min_eig:.3e}")
     return rho

@@ -71,6 +71,41 @@ def test_embedding_permutation_is_permutation():
                           np.arange(alg.total_dim))
 
 
+LAYOUTS = [((2,), (2,)), ((2,), (1, 1)), ((2, 1), (3,)), ((1, 2), (2, 1)),
+           ((3, 1, 2), (1, 3)), ((1,) * 5, (2, 1, 1))]
+
+
+@pytest.mark.parametrize("blocks", LAYOUTS)
+def test_sector_labels_sort_into_the_block_index_concatenation(blocks):
+    alg = ba.BipartiteAlgebra(*blocks)
+    label = ba.sector_labels(alg)
+    concatenated = np.concatenate(
+        [ba.block_indices(alg, k, l) for k, l, _, _ in ba.block_layout(alg)])
+    assert np.array_equal(np.argsort(label, kind="stable"), concatenated)
+    assert np.array_equal(ba.embedding_permutation(alg), concatenated)
+    for j, (k, l, _, _) in enumerate(ba.block_layout(alg)):
+        assert np.array_equal(np.flatnonzero(label == j),
+                              np.sort(ba.block_indices(alg, k, l)))
+
+
+@pytest.mark.parametrize("blocks", LAYOUTS)
+def test_in_algebra_agrees_with_the_sector_mask_loop(blocks):
+    alg = ba.BipartiteAlgebra(*blocks)
+    n = alg.total_dim
+    mask = np.zeros((n, n), dtype=bool)
+    for k, l, _, _ in ba.block_layout(alg):
+        idx = ba.block_indices(alg, k, l)
+        mask[np.ix_(idx, idx)] = True
+    rng = np.random.default_rng(n)
+    inside = ba.random_algebra_element(alg, seed=n)
+    assert ba.in_algebra(inside, alg)
+    for i, j in zip(*np.nonzero(~mask)):
+        for size in (0.5e-9, 2e-9):        # TOL * max(1, ||M||_F)
+            m = inside / np.linalg.norm(inside)
+            m[i, j] += size * rng.choice([1, -1, 1j])
+            assert ba.in_algebra(m, alg) == (size < 1e-9)
+
+
 # ------------------------------------------------------- classical states
 
 def test_classical_state_full_block_is_maximally_mixed():
@@ -155,6 +190,21 @@ def test_classical_state_invariants():
         ok, _ = la.is_positive_semidefinite(rho)
         assert ok
         assert ba.in_algebra(rho, alg)
+
+
+@pytest.mark.parametrize("blocks", LAYOUTS)
+def test_vertices_are_the_one_hot_classical_states(blocks):
+    alg = ba.BipartiteAlgebra(*blocks)
+    shape = (len(alg.blocks_a), len(alg.blocks_b))
+    vertices = ba.classical_state_vertices(alg)
+    assert vertices.diagonals.shape == (shape[0] * shape[1], alg.total_dim)
+    for j, (k, l, _, _) in enumerate(ba.block_layout(alg)):
+        onehot = np.zeros(shape)
+        onehot[k, l] = 1.0
+        dense = ba.classical_state(alg, onehot)
+        assert np.array_equal(vertices[j], dense)
+        assert np.array_equal(vertices.diagonals[j], np.diagonal(dense).real)
+    assert len(list(vertices)) == len(vertices) == shape[0] * shape[1]
 
 
 def test_vertices_enumeration():

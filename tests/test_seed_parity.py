@@ -7,7 +7,9 @@ evaluation block, searches that find their witness on a later trial and
 one that falls back to the fixed qubit pair.  A seed must keep giving the
 same draws, so counts, verdicts and matrices match exactly and the minima
 match to rounding.  The file is the reference for the current code: never
-regenerate it from the current code.
+regenerate it from the current code.  Its ``"platform"`` entry names the
+numpy build it was recorded on; a failing pin quotes it next to the
+running build.
 """
 
 import json
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from platform_pin import build_note
 
 from witnesslab.algebra import (_random_block_raw, _random_element,
                                 random_algebra_element)
@@ -25,6 +28,7 @@ from witnesslab.verify import (PROBE_BLOCK, classical_lemma_test,
 
 PINNED = json.loads(
     (Path(__file__).parent / "data" / "probe_seed_parity.json").read_text())
+BUILD = build_note(PINNED)
 PROBES = {"lemma": classical_lemma_test, "theorem1": theorem1_probe}
 ALGEBRAS = sorted({case["alg"] for case in PINNED["elements"]})
 
@@ -59,17 +63,17 @@ def test_probe_report_matches_pinned(case):
     got = json.loads(json.dumps(report.to_json()))
     assert set(got) == set(expected)
     for key in EXACT:
-        assert got[key] == expected[key], key
+        assert got[key] == expected[key], f"{key}; {BUILD}"
     for key in MINIMA:
         if expected[key] is None:
-            assert got[key] is None, key
+            assert got[key] is None, f"{key}; {BUILD}"
         else:
             assert got[key] == pytest.approx(expected[key], rel=MINIMA_REL,
-                                             abs=0.0), key
+                                             abs=0.0), f"{key}; {BUILD}"
     if expected["max_identity_residual"] is None:
-        assert got["max_identity_residual"] is None
+        assert got["max_identity_residual"] is None, BUILD
     else:
-        assert 0.0 <= got["max_identity_residual"] <= RESIDUAL_ABS
+        assert 0.0 <= got["max_identity_residual"] <= RESIDUAL_ABS, BUILD
 
 
 @pytest.mark.parametrize("text", ALGEBRAS)
@@ -78,7 +82,7 @@ def test_random_algebra_element_matches_pinned(text):
         if case["alg"] == text:
             m = random_algebra_element(parse_algebra(text), case["seed"],
                                        case["positive"])
-            assert matrix_to_json(m) == case["matrix"], case
+            assert matrix_to_json(m) == case["matrix"], (BUILD, case)
 
 
 @pytest.mark.parametrize("text", ALGEBRAS)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from platform_pin import build_note
 
 from witnesslab import linalg as la
 from witnesslab import states as ws
@@ -189,6 +190,7 @@ def test_separable_single_term_is_pure_product():
 
 SAMPLER_PARITY = json.loads(
     (Path(__file__).parent / "data" / "state_sampler_parity.json").read_text())
+BUILD = build_note(SAMPLER_PARITY)
 
 
 def test_separable_samples_match_pinned_outputs():
@@ -199,16 +201,16 @@ def test_separable_samples_match_pinned_outputs():
         rho, dec = ws.random_separable(case["d_a"], case["d_b"],
                                        num_terms=case["num_terms"],
                                        seed=case["seed"])
-        assert la.matrix_to_json(rho) == case["rho"]
-        assert dec.to_json() == case["decomposition"]
+        assert la.matrix_to_json(rho) == case["rho"], BUILD
+        assert dec.to_json() == case["decomposition"], BUILD
 
 
 def test_pure_product_samples_match_pinned_outputs():
     for case in SAMPLER_PARITY["pure_product"]:
         rho, dec = ws.random_pure_product(case["d_a"], case["d_b"],
                                           case["seed"])
-        assert la.matrix_to_json(rho) == case["rho"]
-        assert dec.to_json() == case["decomposition"]
+        assert la.matrix_to_json(rho) == case["rho"], BUILD
+        assert dec.to_json() == case["decomposition"], BUILD
 
 
 def test_random_density_invariants():

@@ -2,13 +2,19 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from witnesslab import linalg as la
 from witnesslab import states as ws
-from witnesslab.algebra import BipartiteAlgebra, full_algebra
+from witnesslab.algebra import (BipartiteAlgebra, block_indices, block_layout,
+                                classical_state, full_algebra,
+                                random_algebra_element)
+from witnesslab.cli import main
 from witnesslab.verify import (check_entanglement_witness,
                                check_quantumness_witness,
                                classical_lemma_test, ew_implies_qw,
@@ -90,6 +96,117 @@ def test_qw_rejects_non_hermitian():
     with pytest.raises(ValueError):
         check_quantumness_witness(np.triu(np.ones((4, 4))),
                                   full_algebra(2, 2))
+
+
+def dense_qw_reference(q, alg):
+    """The quantumness check written out densely: one full classical state
+    per vertex and one eigensolve per sector, in block_layout order.
+    Returns (verdict, classical minimum, min eigenvalue, vertex,
+    certificate)."""
+    q = la.as_matrix(q)
+    shape = (len(alg.blocks_a), len(alg.blocks_b))
+    vertices, values = [], []
+    min_eig, bottom = math.inf, None
+    for k, l, _, _ in block_layout(alg):
+        onehot = np.zeros(shape)
+        onehot[k, l] = 1.0
+        vertices.append(classical_state(alg, onehot))
+        values.append(la.expectation(vertices[-1], q))
+        idx = block_indices(alg, k, l)
+        w, v = np.linalg.eigh(la.hermitian_part(q[np.ix_(idx, idx)]))
+        if w[0] < min_eig:
+            min_eig = float(w[0])
+            bottom = np.zeros(alg.total_dim, dtype=complex)
+            bottom[idx] = v[:, 0]
+    worst = int(np.argmin(values))
+    if min(values) < -la.TOL:
+        return "refuted", min(values), min_eig, worst, vertices[worst]
+    verdict = "confirmed" if min_eig < -la.TOL else "refuted"
+    return verdict, min(values), min_eig, None, ws.pure_state(bottom)
+
+
+def assert_matches_dense(q, alg):
+    verdict, classical, min_eig, vertex, cert = dense_qw_reference(q, alg)
+    report = check_quantumness_witness(q, alg)
+    assert report.verdict == verdict
+    assert report.min_classical_expectation == classical
+    assert report.min_eigenvalue == min_eig
+    assert report.violating_vertex == vertex
+    assert np.array_equal(report.certificate_state, cert)
+    return report
+
+
+def sample_witness(alg, seed, lift):
+    """A random element with sub-TOL anti-Hermitian noise; ``lift`` moves
+    its smallest vertex value to 0.1, so the vertices pass."""
+    q = random_algebra_element(alg, seed)
+    q = q + 1e-12j * random_algebra_element(alg, seed + 1)
+    if lift:
+        classical = dense_qw_reference(q, alg)[1]
+        q = q + (0.1 - classical) * np.eye(alg.total_dim)
+    return q
+
+
+@settings(deadline=None, max_examples=60)
+@given(blocks_a=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       blocks_b=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       seed=st.integers(0, 2**31), lift=st.booleans())
+def test_qw_matches_dense_reference(blocks_a, blocks_b, seed, lift):
+    alg = BipartiteAlgebra(tuple(blocks_a), tuple(blocks_b))
+    assert_matches_dense(sample_witness(alg, seed, lift), alg)
+
+
+@pytest.mark.parametrize("seed,lift", [(3, False), (4, True)])
+def test_qw_matches_dense_reference_144_sectors(seed, lift):
+    alg = BipartiteAlgebra((1,) * 12, (1,) * 12)
+    report = assert_matches_dense(sample_witness(alg, seed, lift), alg)
+    # One-dimensional sectors: the eigenvalues are the vertex values.
+    assert report.verdict == "refuted"
+    assert (report.violating_vertex is None) == lift
+
+
+def test_qw_ties_go_to_first_sector_in_layout_order():
+    # The size-3 sector comes first in the layout but is solved after the
+    # size-2 stack; both reach -1.
+    alg = BipartiteAlgebra((3, 2), (1,))
+    q = np.diag([2.0, 0.0, -1.0, 1.0, -1.0])
+    report = assert_matches_dense(q, alg)
+    assert report.verdict == "confirmed"
+    assert np.array_equal(report.certificate_state,
+                          ws.pure_state(np.eye(5)[2]))
+    report = assert_matches_dense(-np.eye(5), alg)
+    assert report.violating_vertex == 0
+
+
+def test_qw_imaginary_vertex_residual_raises(tmp_path):
+    # Hermitian within TOL, but vertex 1 (indices 1, 2) has tr(v q) with
+    # imaginary part -5e-10, beyond RESIDUAL_TOL.
+    alg = BipartiteAlgebra((1, 2), (1,))
+    q = np.diag([1.0, 2.0 - 5e-10j, 2.0 - 5e-10j])
+    assert la.is_hermitian(q)
+    vertex = classical_state(alg, [[0.0], [1.0]])
+    with pytest.raises(ValueError) as dense:
+        la.expectation(vertex, q)
+    with pytest.raises(ValueError) as fast:
+        check_quantumness_witness(q, alg)
+    assert str(fast.value) == str(dense.value)
+    assert "-5.000e-10" in str(fast.value)
+    path = tmp_path / "q.json"
+    la.save_matrix(path, q)
+    assert main(["verify", "qw", "--in", str(path), "--alg", "1,2;1"]) == 2
+
+
+def test_qw_144_sectors_builds_no_dense_vertices():
+    # One dense 144 x 144 state per vertex took about 48 MB.
+    alg = BipartiteAlgebra((1,) * 12, (1,) * 12)
+    q = random_algebra_element(alg, 5)
+    tracemalloc.start()
+    try:
+        check_quantumness_witness(q, alg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 # ------------------------------------------------------ entanglement side
