@@ -14,14 +14,16 @@ on the index grid (range of block k) x (range of block l), which is not
 contiguous in general.  ``block_layout`` reports the canonical contiguous
 ordering (k-major, then l) and ``embedding_permutation`` maps it onto the
 interleaved physical indices.  ``sector_labels`` gives each physical index
-its sector's layout position; sector support, the embedding and classical
-states all come from it.  The vertices are kept as diagonals and built
-densely only when indexed.
+its sector's layout position and is the one sector index: the embedding is
+its stable argsort, ``sector_indices`` splits that embedding per sector, and
+sector support and classical states read the labels directly.  The vertices
+are kept as diagonals and built densely only when indexed.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -99,15 +101,6 @@ def block_layout(alg: BipartiteAlgebra) -> list[tuple[int, int, int, int]]:
     return layout
 
 
-def block_indices(alg: BipartiteAlgebra, k: int, l: int) -> np.ndarray:
-    """Full-space indices of sector (k, l), row-major within the sector."""
-    a_off = sum(alg.blocks_a[:k])
-    b_off = sum(alg.blocks_b[:l])
-    rows = (a_off + np.arange(alg.blocks_a[k])) * alg.dim_b
-    cols = b_off + np.arange(alg.blocks_b[l])
-    return (rows[:, None] + cols[None, :]).ravel()
-
-
 def sector_labels(alg: BipartiteAlgebra) -> np.ndarray:
     """The ``block_layout`` position of each full-space index's sector."""
     k = np.repeat(np.arange(len(alg.blocks_a)), alg.blocks_a)
@@ -118,6 +111,13 @@ def sector_labels(alg: BipartiteAlgebra) -> np.ndarray:
 def embedding_permutation(alg: BipartiteAlgebra) -> np.ndarray:
     """Permutation p with p[canonical position] = physical index."""
     return np.argsort(sector_labels(alg), kind="stable")
+
+
+def sector_indices(alg: BipartiteAlgebra) -> list[np.ndarray]:
+    """Full-space indices of each sector, in ``block_layout`` order and
+    ascending (row-major) within the sector."""
+    bounds = np.cumsum(np.bincount(sector_labels(alg)))[:-1]
+    return np.split(embedding_permutation(alg), bounds)
 
 
 def in_algebra(m, alg: BipartiteAlgebra) -> bool:
@@ -151,8 +151,7 @@ def _draw_slots(alg: BipartiteAlgebra) -> np.ndarray:
     """
     n = alg.total_dim
     slots = []
-    for k, l, _, _ in block_layout(alg):
-        idx = block_indices(alg, k, l)
+    for idx in sector_indices(alg):
         entries = 2 * (idx[:, None] * n + idx[None, :]).ravel()
         slots += [entries, entries + 1]    # real parts, then imaginary
     out = np.concatenate(slots)
@@ -214,11 +213,10 @@ def is_classical_state(rho, alg: BipartiteAlgebra) -> bool:
     algebra at all and are rejected with an error rather than classified.
     """
     rho = require_in_algebra(rho, alg)
-    for k, l, _, size in block_layout(alg):
-        idx = block_indices(alg, k, l)
+    for idx in sector_indices(alg):
         sub = rho[np.ix_(idx, idx)]
-        scalar = np.trace(sub) / size
-        if np.abs(sub - scalar * np.eye(size)).max() > TOL:
+        scalar = np.trace(sub) / idx.size
+        if np.abs(sub - scalar * np.eye(idx.size)).max() > TOL:
             return False
     return True
 
@@ -234,19 +232,16 @@ def classicality_violation(rho, alg: BipartiteAlgebra):
     rho = require_in_algebra(rho, alg)
     best = None
     best_val = 0.0
-    for k, l, _, _ in block_layout(alg):
-        idx = block_indices(alg, k, l)
-        for a in range(idx.size):
-            for b in range(a + 1, idx.size):
-                i, j = int(idx[a]), int(idx[b])
-                coherence = rho[j, i]          # tr(rho E_ij)
-                if abs(coherence) > abs(best_val):
-                    best_val = coherence
-                    best = ((i, i), (i, j))
-                imbalance = rho[i, i] - rho[j, j]
-                if abs(imbalance) > abs(best_val):
-                    best_val = imbalance
-                    best = ((i, j), (j, i))
+    for idx in sector_indices(alg):
+        for i, j in itertools.combinations(idx.tolist(), 2):
+            coherence = rho[j, i]          # tr(rho E_ij)
+            if abs(coherence) > abs(best_val):
+                best_val = coherence
+                best = ((i, i), (i, j))
+            imbalance = rho[i, i] - rho[j, j]
+            if abs(imbalance) > abs(best_val):
+                best_val = imbalance
+                best = ((i, j), (j, i))
     if best is None or abs(best_val) == 0.0:
         return None
     x, y = np.zeros((2, alg.total_dim, alg.total_dim), dtype=complex)

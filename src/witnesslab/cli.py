@@ -27,20 +27,20 @@ from .algebra import BipartiteAlgebra, full_algebra
 from .linalg import (hermitian_eigensystem, load_matrix, matrix_to_json,
                      save_matrix, tensor)
 from .states import KET_MINUS, KET_PLUS
-from .verify import (check_entanglement_witness, check_quantumness_witness,
+from .verify import (DEFAULT_RESTARTS, DEFAULT_SEED,
+                     check_entanglement_witness, check_quantumness_witness,
                      classical_lemma_test, ew_implies_qw, theorem1_probe)
 from .witnesses import (QubitQWParams, ShiftedSwapParams, bell_chsh,
                         qubit_qw, shifted_swap_factors,
                         standard_bell_settings, swap_operator)
 
-DEFAULT_RESTARTS = 32
 DEFAULT_STEPS = 1000
 DEFAULT_FIG1_STEPS = 64
 DEFAULT_TRIALS = 1000
 
 
 def default_seed() -> int:
-    text = os.environ.get("WITNESSLAB_SEED", "42")
+    text = os.environ.get("WITNESSLAB_SEED", str(DEFAULT_SEED))
     try:
         return int(text)
     except ValueError:

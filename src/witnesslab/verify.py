@@ -10,27 +10,29 @@ size; only a refuting vertex is built as a dense state.  The entanglement
 side has no exact decision procedure; the product-state minimum is
 estimated by see-saw alternation (an upper bound on the true minimum)
 and, at total dimension <= 6, cross-checked against a dense grid over the
-qubit factor followed by a local polish.  Reports always carry enough
-data to re-evaluate the verdict independently.
+smaller factor (at most a qubit) followed by a local polish.  Reports
+always carry enough data to re-evaluate the verdict independently; their
+JSON is their dataclass fields in declaration order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .algebra import (BipartiteAlgebra, block_indices, block_layout,
-                      classical_state, classical_state_vertices,
-                      embedding_permutation, full_algebra,
-                      require_in_algebra, sector_labels, _random_block_raw,
-                      _random_element)
+from .algebra import (BipartiteAlgebra, classical_state,
+                      classical_state_vertices, embedding_permutation,
+                      full_algebra, require_in_algebra, sector_indices,
+                      sector_labels, _random_block_raw, _random_element)
 from .linalg import (EXACT_TOL, RESIDUAL_TOL, TOL, anticommutator, frobenius,
                      hermitian_part, matrix_to_json, require_hermitian)
 from .states import pure_state
 from .witnesses import QubitQWParams, qubit_qw
 
+DEFAULT_RESTARTS = 32
+DEFAULT_SEED = 42
 SEESAW_CONVERGENCE = 1e-12
 SEESAW_MAX_ITERS = 500
 GRID_ORACLE_MAX_DIM = 6
@@ -43,6 +45,20 @@ THEOREM1_SEARCH_MARGIN = 1e-8
 PROBE_BLOCK = 1024
 
 
+def _report_json(report) -> dict:
+    """A report's fields in declaration order, keyed by name or by the
+    field's ``json`` metadata; matrices go out as matrix JSON."""
+    doc = {}
+    for f in fields(report):
+        value = getattr(report, f.name)
+        if isinstance(value, np.ndarray):
+            value = matrix_to_json(value)
+        elif isinstance(value, BipartiteAlgebra):
+            value = value.to_json()
+        doc[f.metadata.get("json", f.name)] = value
+    return doc
+
+
 @dataclass
 class WitnessReport:
     """Verdict plus the numeric certificates that back it."""
@@ -51,25 +67,14 @@ class WitnessReport:
     min_classical_expectation: float | None
     min_product_expectation: float | None
     min_eigenvalue: float
-    certificate_state: np.ndarray | None
+    certificate_state: np.ndarray | None = field(
+        metadata={"json": "certificate"})
     violating_vertex: int | None
     restarts_used: int
     tolerance: float
     heuristic: bool
 
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "min_classical_expectation": self.min_classical_expectation,
-            "min_product_expectation": self.min_product_expectation,
-            "min_eigenvalue": self.min_eigenvalue,
-            "certificate": (None if self.certificate_state is None
-                            else matrix_to_json(self.certificate_state)),
-            "violating_vertex": self.violating_vertex,
-            "restarts_used": self.restarts_used,
-            "tolerance": self.tolerance,
-            "heuristic": self.heuristic,
-        }
+    to_json = _report_json
 
 
 def check_quantumness_witness(q, alg: BipartiteAlgebra) -> WitnessReport:
@@ -170,42 +175,27 @@ def _bloch_grid() -> np.ndarray:
 def _grid_polish_minimum(e, d_a, d_b):
     """Dense-grid-plus-polish estimate of the product minimum.
 
-    Only available when one factor is at most a qubit: that factor is
-    swept over a 5-degree Bloch grid while the other factor is minimized
-    exactly as a bottom eigenvector; the best grid point is then polished
-    by see-saw.
+    The parties are exchanged so that A is the smaller factor, which
+    total dimension <= GRID_ORACLE_MAX_DIM keeps at most a qubit.  A is
+    swept over a 5-degree Bloch grid (one point if it is one-dimensional)
+    while B is minimized exactly as a bottom eigenvector; the best grid
+    point is then polished by see-saw.
     """
     e4 = e.reshape(d_a, d_b, d_a, d_b)
-    grid_side = "a" if d_a <= d_b else "b"
-    grid_dim = min(d_a, d_b)
-    if grid_dim == 1:
-        fixed = np.array([1.0 + 0j])
-        grid = fixed[None, :]
-    elif grid_dim == 2:
-        grid = _bloch_grid()
-    else:
-        raise ValueError("grid oracle needs a factor of dimension <= 2")
-
-    if grid_side == "a":
-        contracted = np.einsum("ijkl,gi,gk->gjl", e4, grid.conj(), grid)
-    else:
-        contracted = np.einsum("ijkl,gj,gl->gik", e4, grid.conj(), grid)
-    contracted = hermitian_part(contracted)
-    eigs = np.linalg.eigvalsh(contracted)
-    best_g = int(np.argmin(eigs[:, 0]))
-
+    if d_a > d_b:
+        e4 = e4.transpose(1, 0, 3, 2)
+    grid = _bloch_grid() if min(d_a, d_b) == 2 else np.ones((1, 1), complex)
+    contracted = hermitian_part(
+        np.einsum("ijkl,gi,gk->gjl", e4, grid.conj(), grid))
+    best_g = int(np.argmin(np.linalg.eigvalsh(contracted)[:, 0]))
     _, vecs = np.linalg.eigh(contracted[best_g])
-    other = vecs[:, 0]
-    if grid_side == "a":
-        a, b = grid[best_g], other
-    else:
-        a, b = other, grid[best_g]
-    value, _, _ = _seesaw_from(e4, a, b)
+    value, _, _ = _seesaw_from(e4, grid[best_g], vecs[:, 0])
     return value
 
 
-def check_entanglement_witness(e, d_a: int, d_b: int, restarts: int = 32,
-                               seed: int = 42) -> WitnessReport:
+def check_entanglement_witness(e, d_a: int, d_b: int,
+                               restarts: int = DEFAULT_RESTARTS,
+                               seed: int = DEFAULT_SEED) -> WitnessReport:
     """Certify ``e`` as an entanglement witness on C^d_a (x) C^d_b.
 
     The separable minimum equals the pure-product minimum by convexity;
@@ -218,6 +208,8 @@ def check_entanglement_witness(e, d_a: int, d_b: int, restarts: int = 32,
     -EXACT_TOL * max(1, ||E||_F) is a real sub-tolerance signal (swap and
     Bell sit exactly at zero) and is reported as inconclusive.
     """
+    if d_a < 1 or d_b < 1:
+        raise ValueError(f"dims must be positive, got {d_a}x{d_b}")
     e = require_hermitian(e, "witness")
     if d_a * d_b != e.shape[0]:
         raise ValueError(
@@ -284,7 +276,8 @@ def check_entanglement_witness(e, d_a: int, d_b: int, restarts: int = 32,
     )
 
 
-def ew_implies_qw(e, d_a: int, d_b: int, restarts: int = 32, seed: int = 42):
+def ew_implies_qw(e, d_a: int, d_b: int, restarts: int = DEFAULT_RESTARTS,
+                  seed: int = DEFAULT_SEED):
     """Run both certifiers over the full product algebra.
 
     For the irreducible algebra the only classical state is the maximally
@@ -292,9 +285,8 @@ def ew_implies_qw(e, d_a: int, d_b: int, restarts: int = 32, seed: int = 42):
     negative eigenvalue.  A confirmed entanglement witness must come out
     a confirmed quantumness witness; anything else is an internal error.
     """
-    alg = full_algebra(d_a, d_b)
     ew = check_entanglement_witness(e, d_a, d_b, restarts, seed)
-    qw = check_quantumness_witness(e, alg)
+    qw = check_quantumness_witness(e, full_algebra(d_a, d_b))
     if ew.verdict == "confirmed" and qw.verdict != "confirmed":
         raise RuntimeError(
             "confirmed entanglement witness failed the quantumness check; "
@@ -320,34 +312,13 @@ class ProbeReport:
     witness_found: bool | None = None
     fallback_used: bool | None = None
     witness_lambda_min: float | None = None
-    witness_x: np.ndarray | None = None
-    witness_y: np.ndarray | None = None
     min_anticommutator_expectation: float | None = None
     min_cross_term: float | None = None
     max_identity_residual: float | None = None
+    witness_x: np.ndarray | None = None
+    witness_y: np.ndarray | None = None
 
-    def to_json(self) -> dict:
-        doc = {
-            "kind": self.kind,
-            "algebra": self.algebra.to_json(),
-            "trials": self.trials,
-            "violations": self.violations,
-            "passed": self.passed,
-            "seed": self.seed,
-            "commutative": self.commutative,
-            "witness_found": self.witness_found,
-            "fallback_used": self.fallback_used,
-            "witness_lambda_min": self.witness_lambda_min,
-            "min_anticommutator_expectation":
-                self.min_anticommutator_expectation,
-            "min_cross_term": self.min_cross_term,
-            "max_identity_residual": self.max_identity_residual,
-            "witness_x": (None if self.witness_x is None
-                          else matrix_to_json(self.witness_x)),
-            "witness_y": (None if self.witness_y is None
-                          else matrix_to_json(self.witness_y)),
-        }
-        return doc
+    to_json = _report_json
 
 
 def _coerce_algebra(alg) -> BipartiteAlgebra:
@@ -363,7 +334,7 @@ def _blocks(trials: int) -> list[int]:
             for start in range(0, trials, PROBE_BLOCK)]
 
 
-def theorem1_probe(alg, trials: int, seed: int = 42) -> ProbeReport:
+def theorem1_probe(alg, trials: int, seed: int = DEFAULT_SEED) -> ProbeReport:
     """Probe the commutativity/anticommutator-positivity equivalence.
 
     Commutative algebra: every random positive pair must commute and have
@@ -419,9 +390,7 @@ def theorem1_probe(alg, trials: int, seed: int = 42) -> ProbeReport:
             break
     fallback = witness is None
     if fallback:
-        sector = next((k, l) for k, l, _, size in block_layout(alg)
-                      if size >= 2)
-        idx = block_indices(alg, *sector)[:2]
+        idx = next(idx for idx in sector_indices(alg) if idx.size >= 2)[:2]
         x2, y2, _, _, lam_minus = qubit_qw(QubitQWParams(
             alpha=1.0, beta=1.0, u=(0.0, 0.0, 1.0), v=(1.0, 0.0, 0.0)))
         x = np.zeros((alg.total_dim, alg.total_dim), dtype=complex)
@@ -438,7 +407,8 @@ def theorem1_probe(alg, trials: int, seed: int = 42) -> ProbeReport:
         witness_x=witness[0], witness_y=witness[1])
 
 
-def classical_lemma_test(alg, trials: int, seed: int = 42) -> ProbeReport:
+def classical_lemma_test(alg, trials: int,
+                         seed: int = DEFAULT_SEED) -> ProbeReport:
     """Randomized evidence that classical states see PSD anticommutators.
 
     Each trial draws a random classical state (Dirichlet sector weights)

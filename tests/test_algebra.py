@@ -43,20 +43,20 @@ def test_block_layout_reducible_b_interleaved():
     # meets the l-th B range under i*dim_b + j indexing
     alg = ba.BipartiteAlgebra((2,), (1, 1))
     assert ba.block_layout(alg) == [(0, 0, 0, 2), (0, 1, 2, 2)]
-    assert list(ba.block_indices(alg, 0, 0)) == [0, 2]
-    assert list(ba.block_indices(alg, 0, 1)) == [1, 3]
+    assert list(ba.sector_indices(alg)[0]) == [0, 2]
+    assert list(ba.sector_indices(alg)[1]) == [1, 3]
 
 
-def test_block_indices_match_definition():
+def test_sector_indices_match_definition():
     alg = ba.BipartiteAlgebra((2, 1), (1, 2))
     dim_b = alg.dim_b
-    for k, l, _, size in ba.block_layout(alg):
+    for j, (k, l, _, size) in enumerate(ba.block_layout(alg)):
         a_off = sum(alg.blocks_a[:k])
         b_off = sum(alg.blocks_b[:l])
         expected = [(a_off + r) * dim_b + (b_off + s)
                     for r in range(alg.blocks_a[k])
                     for s in range(alg.blocks_b[l])]
-        assert list(ba.block_indices(alg, k, l)) == expected
+        assert list(ba.sector_indices(alg)[j]) == expected
         assert size == len(expected)
 
 
@@ -79,13 +79,14 @@ LAYOUTS = [((2,), (2,)), ((2,), (1, 1)), ((2, 1), (3,)), ((1, 2), (2, 1)),
 def test_sector_labels_sort_into_the_block_index_concatenation(blocks):
     alg = ba.BipartiteAlgebra(*blocks)
     label = ba.sector_labels(alg)
-    concatenated = np.concatenate(
-        [ba.block_indices(alg, k, l) for k, l, _, _ in ba.block_layout(alg)])
+    sectors = ba.sector_indices(alg)
+    concatenated = np.concatenate(sectors)
     assert np.array_equal(np.argsort(label, kind="stable"), concatenated)
     assert np.array_equal(ba.embedding_permutation(alg), concatenated)
-    for j, (k, l, _, _) in enumerate(ba.block_layout(alg)):
-        assert np.array_equal(np.flatnonzero(label == j),
-                              np.sort(ba.block_indices(alg, k, l)))
+    assert [idx.size for idx in sectors] == \
+        [size for _, _, _, size in ba.block_layout(alg)]
+    for j, idx in enumerate(sectors):
+        assert np.array_equal(np.flatnonzero(label == j), np.sort(idx))
 
 
 @pytest.mark.parametrize("blocks", LAYOUTS)
@@ -93,8 +94,7 @@ def test_in_algebra_agrees_with_the_sector_mask_loop(blocks):
     alg = ba.BipartiteAlgebra(*blocks)
     n = alg.total_dim
     mask = np.zeros((n, n), dtype=bool)
-    for k, l, _, _ in ba.block_layout(alg):
-        idx = ba.block_indices(alg, k, l)
+    for idx in ba.sector_indices(alg):
         mask[np.ix_(idx, idx)] = True
     rng = np.random.default_rng(n)
     inside = ba.random_algebra_element(alg, seed=n)

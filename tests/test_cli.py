@@ -214,6 +214,23 @@ def test_verify_dim_mismatch(tmp_path, capsys):
     assert code == 2
 
 
+def test_verify_rejects_nonpositive_dims(tmp_path):
+    # -2 x -2 matches the dimension 4 of swap2; numpy's reshape used to
+    # fail on it instead.
+    op = tmp_path / "swap2.json"
+    la.save_matrix(op, swap_operator(2))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(witnesslab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "witnesslab.cli", "verify", "ew",
+         "--in", str(op), "--dims", "-2", "-2"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert "-2x-2" in proc.stderr
+
+
 def test_seed_env_override(tmp_path, capsys, monkeypatch):
     op = tmp_path / "swap2.json"
     la.save_matrix(op, swap_operator(2))

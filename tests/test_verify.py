@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from witnesslab import linalg as la
 from witnesslab import states as ws
-from witnesslab.algebra import (BipartiteAlgebra, block_indices, block_layout,
+from witnesslab.algebra import (BipartiteAlgebra, block_layout,
                                 classical_state, full_algebra,
-                                random_algebra_element)
+                                random_algebra_element, sector_indices)
 from witnesslab.cli import main
 from witnesslab.verify import (check_entanglement_witness,
                                check_quantumness_witness,
@@ -24,9 +24,15 @@ from witnesslab.witnesses import (QubitQWParams, ShiftedSwapParams, bell_chsh,
                                   standard_bell_settings, swap_operator)
 
 RT2 = math.sqrt(2.0)
-REPORT_KEYS = {"verdict", "min_classical_expectation",
+# Report JSON keys, in the order they are written.
+REPORT_KEYS = ["verdict", "min_classical_expectation",
                "min_product_expectation", "min_eigenvalue", "certificate",
-               "violating_vertex", "restarts_used", "tolerance", "heuristic"}
+               "violating_vertex", "restarts_used", "tolerance", "heuristic"]
+PROBE_KEYS = ["kind", "algebra", "trials", "violations", "passed", "seed",
+              "commutative", "witness_found", "fallback_used",
+              "witness_lambda_min", "min_anticommutator_expectation",
+              "min_cross_term", "max_identity_residual", "witness_x",
+              "witness_y"]
 
 
 # ------------------------------------------------------- quantumness side
@@ -107,12 +113,12 @@ def dense_qw_reference(q, alg):
     shape = (len(alg.blocks_a), len(alg.blocks_b))
     vertices, values = [], []
     min_eig, bottom = math.inf, None
-    for k, l, _, _ in block_layout(alg):
+    for j, (k, l, _, _) in enumerate(block_layout(alg)):
         onehot = np.zeros(shape)
         onehot[k, l] = 1.0
         vertices.append(classical_state(alg, onehot))
         values.append(la.expectation(vertices[-1], q))
-        idx = block_indices(alg, k, l)
+        idx = sector_indices(alg)[j]
         w, v = np.linalg.eigh(la.hermitian_part(q[np.ix_(idx, idx)]))
         if w[0] < min_eig:
             min_eig = float(w[0])
@@ -209,6 +215,70 @@ def test_qw_144_sectors_builds_no_dense_vertices():
     assert peak < 4e6
 
 
+METAMORPHIC_ALGEBRAS = [((2, 1), (3,)), ((1, 2), (2, 1)), ((3, 1, 2), (1, 3)),
+                        ((1, 1, 1), (1, 1)), ((1,) * 5, (2, 1, 1))]
+METAMORPHIC_SHIFTS = (-3.0, -0.4, 0.6, 4.0)
+
+
+def metamorphic_witnesses(blocks):
+    """Random elements shifted so that every case clears TOL by far."""
+    alg = BipartiteAlgebra(*blocks)
+    for seed in range(12):
+        q = random_algebra_element(alg, seed)
+        for shift in METAMORPHIC_SHIFTS:
+            yield alg, q + shift * np.eye(alg.total_dim)
+
+
+def assert_far_from_tol(report, scale=1.0):
+    assert abs(report.min_classical_expectation) * scale > 1e3 * la.TOL
+    assert abs(report.min_eigenvalue) * scale > 1e3 * la.TOL
+
+
+@pytest.mark.parametrize("blocks", METAMORPHIC_ALGEBRAS)
+@pytest.mark.parametrize("k", [-3, 5])
+def test_qw_invariant_under_power_of_two_scaling(blocks, k):
+    for alg, q in metamorphic_witnesses(blocks):
+        base = check_quantumness_witness(q, alg)
+        scaled = check_quantumness_witness(2.0 ** k * q, alg)
+        assert_far_from_tol(base, min(1.0, 2.0 ** k))
+        assert scaled.verdict == base.verdict
+        assert scaled.violating_vertex == base.violating_vertex
+        assert np.array_equal(scaled.certificate_state,
+                              base.certificate_state)
+        assert scaled.min_classical_expectation == \
+            2.0 ** k * base.min_classical_expectation
+        assert scaled.min_eigenvalue == 2.0 ** k * base.min_eigenvalue
+
+
+def reversed_a_blocks(alg):
+    """The algebra with its A blocks reversed, and the full-space index
+    permutation p that carries an operator q of ``alg`` to q[p][:, p]."""
+    offsets = np.cumsum((0,) + alg.blocks_a)
+    perm_a = np.concatenate([np.arange(offsets[k], offsets[k + 1])
+                             for k in reversed(range(len(alg.blocks_a)))])
+    p = (perm_a[:, None] * alg.dim_b + np.arange(alg.dim_b)).ravel()
+    return BipartiteAlgebra(alg.blocks_a[::-1], alg.blocks_b), p
+
+
+@pytest.mark.parametrize("blocks", METAMORPHIC_ALGEBRAS)
+def test_qw_invariant_under_reversed_a_blocks(blocks):
+    n_a, n_b = len(blocks[0]), len(blocks[1])
+    for alg, q in metamorphic_witnesses(blocks):
+        rev, p = reversed_a_blocks(alg)
+        base = check_quantumness_witness(q, alg)
+        moved = check_quantumness_witness(q[np.ix_(p, p)], rev)
+        assert_far_from_tol(base)
+        assert moved.verdict == base.verdict
+        assert moved.min_eigenvalue == base.min_eigenvalue
+        assert moved.min_classical_expectation == pytest.approx(
+            base.min_classical_expectation, rel=1e-12, abs=0.0)
+        if base.violating_vertex is None:
+            assert moved.violating_vertex is None
+        else:
+            k, l = divmod(base.violating_vertex, n_b)
+            assert moved.violating_vertex == (n_a - 1 - k) * n_b + l
+
+
 # ------------------------------------------------------ entanglement side
 
 def test_ew_swap_confirmed():
@@ -281,11 +351,34 @@ def test_ew_dimension_mismatch():
         check_entanglement_witness(swap_operator(2), 2, 3)
 
 
+@pytest.mark.parametrize("dims", [(-2, -2), (-1, -4), (0, 4), (4, 0)])
+def test_ew_rejects_nonpositive_dims(dims):
+    message = f"dims must be positive, got {dims[0]}x{dims[1]}"
+    with pytest.raises(ValueError, match=message):
+        check_entanglement_witness(swap_operator(2), *dims)
+    with pytest.raises(ValueError, match=message):
+        ew_implies_qw(swap_operator(2), *dims)
+
+
 def test_ew_report_json_schema():
     report = check_entanglement_witness(swap_operator(2), 2, 2)
-    assert set(report.to_json()) == REPORT_KEYS
+    assert list(report.to_json()) == REPORT_KEYS
     report = check_quantumness_witness(swap_operator(2), full_algebra(2, 2))
-    assert set(report.to_json()) == REPORT_KEYS
+    assert list(report.to_json()) == REPORT_KEYS
+
+
+def test_both_and_probe_report_json_key_order(tmp_path, capsys):
+    path = tmp_path / "swap2.json"
+    la.save_matrix(path, swap_operator(2))
+    assert main(["verify", "both", "--in", str(path), "--dims", "2", "2",
+                 "--restarts", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["ew", "qw"]
+    assert list(doc["ew"]) == list(doc["qw"]) == REPORT_KEYS
+    for report in (classical_lemma_test(full_algebra(2, 2), 3),
+                   theorem1_probe(BipartiteAlgebra((1, 1), (1, 1)), 3),
+                   theorem1_probe(full_algebra(2, 2), 3)):
+        assert list(report.to_json()) == PROBE_KEYS
 
 
 def test_ew_qutrit_swap():
