@@ -29,7 +29,8 @@ from .linalg import (hermitian_eigensystem, load_matrix, matrix_to_json,
 from .states import KET_MINUS, KET_PLUS
 from .verify import (DEFAULT_RESTARTS, DEFAULT_SEED,
                      check_entanglement_witness, check_quantumness_witness,
-                     classical_lemma_test, ew_implies_qw, theorem1_probe)
+                     classical_lemma_test, ew_implies_qw, require_dims,
+                     theorem1_probe)
 from .witnesses import (QubitQWParams, ShiftedSwapParams, bell_chsh,
                         qubit_qw, shifted_swap_factors,
                         standard_bell_settings, swap_operator)
@@ -300,6 +301,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.dims is not None:
+        require_dims(*args.dims)
     op = load_matrix(getattr(args, "in"))
     mode = args.mode
     if mode == "qw":

@@ -231,6 +231,23 @@ def test_verify_rejects_nonpositive_dims(tmp_path):
     assert "-2x-2" in proc.stderr
 
 
+@pytest.mark.parametrize("mode,dims", [("qw", ("0", "4")),
+                                       ("both", ("4", "0")),
+                                       ("ew", ("0", "4"))])
+def test_verify_rejects_nonpositive_dims_in_every_mode(tmp_path, capsys,
+                                                      mode, dims):
+    # verify qw used to name an internal field ("blocks_a must contain
+    # positive integers") instead of the --dims it was given.
+    op = tmp_path / "swap2.json"
+    la.save_matrix(op, swap_operator(2))
+    code, out, err = run_cli(capsys, "verify", mode, "--in", str(op),
+                             "--dims", *dims)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err == f"error: dims must be positive, got {'x'.join(dims)}\n"
+
+
 def test_seed_env_override(tmp_path, capsys, monkeypatch):
     op = tmp_path / "swap2.json"
     la.save_matrix(op, swap_operator(2))
