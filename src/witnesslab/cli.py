@@ -6,9 +6,11 @@ certifiers on an operator file), ``scan`` (emit CSV datasets for the
 threshold and surface plots) and ``probe`` (randomized algebra probes).
 
 Exit codes: 0 the computation completed (verdicts are data, not exit
-status), 1 a probe or internal cross-check assertion failed, 2 invalid
-input.  The default seed is 42, overridable by the WITNESSLAB_SEED
-environment variable and the --seed flag, in that order of precedence.
+status), 1 a probe failed or ``verify both`` found a confirmed
+entanglement witness that is no quantumness witness, 2 invalid input
+(sizes above MAX_D and MAX_SCAN_ROWS included).  The default seed is 42,
+overridable by the WITNESSLAB_SEED environment variable and the --seed
+flag, in that order of precedence.
 """
 
 from __future__ import annotations
@@ -38,6 +40,15 @@ from .witnesses import (QubitQWParams, ShiftedSwapParams, bell_chsh,
 DEFAULT_STEPS = 1000
 DEFAULT_FIG1_STEPS = 64
 DEFAULT_TRIALS = 1000
+# Caps on outside input, checked before anything is allocated: a swap
+# operator on C^d (x) C^d is a d^2 x d^2 complex matrix, 16 MB at d = 32.
+MAX_D = 32
+MAX_SCAN_ROWS = 10**6
+
+
+def require_at_most(what: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise ValueError(f"{what} is {value}, above the cap of {cap}")
 
 
 def default_seed() -> int:
@@ -224,6 +235,7 @@ def _emit_operators(operators: dict, provenance: dict, out_path):
 
 
 def cmd_construct(args) -> int:
+    require_at_most("--d", args.d, MAX_D)
     kind = args.kind
     if kind == "swap":
         s = swap_operator(args.d)
@@ -286,18 +298,16 @@ def cmd_construct(args) -> int:
              "lambda_plus": lam_plus, "lambda_minus": lam_minus},
             args.out)
         return 0
-    if kind == "shifted-swap":
-        params = ShiftedSwapParams(xi=args.xi, phi=args.phi, d=args.d)
-        x, y, residual = shifted_swap_factors(params)
-        shifted = params.xi * np.eye(params.d ** 2) + swap_operator(params.d)
-        _emit_operators(
-            {"X": x, "Y": y, "Q": shifted},
-            {"kind": "shifted-swap",
-             "params": {"d": params.d, "xi": params.xi, "phi": params.phi},
-             "factorization_residual": float(residual)},
-            args.out)
-        return 0
-    raise ValueError(f"unknown construct kind {kind!r}")
+    params = ShiftedSwapParams(xi=args.xi, phi=args.phi, d=args.d)
+    x, y, residual = shifted_swap_factors(params)
+    shifted = params.xi * np.eye(params.d ** 2) + swap_operator(params.d)
+    _emit_operators(
+        {"X": x, "Y": y, "Q": shifted},
+        {"kind": "shifted-swap",
+         "params": {"d": params.d, "xi": params.xi, "phi": params.phi},
+         "factorization_residual": float(residual)},
+        args.out)
+    return 0
 
 
 def cmd_verify(args) -> int:
@@ -323,13 +333,10 @@ def cmd_verify(args) -> int:
             op, d_a, d_b, restarts=args.restarts, seed=args.seed)
         print(json.dumps(report.to_json(), indent=2))
         return 0
-    if mode == "both":
-        ew, qw = ew_implies_qw(op, d_a, d_b,
-                               restarts=args.restarts, seed=args.seed)
-        print(json.dumps({"ew": ew.to_json(), "qw": qw.to_json()},
-                         indent=2))
-        return 0
-    raise ValueError(f"unknown verify mode {mode!r}")
+    ew, qw = ew_implies_qw(op, d_a, d_b,
+                           restarts=args.restarts, seed=args.seed)
+    print(json.dumps({"ew": ew.to_json(), "qw": qw.to_json()}, indent=2))
+    return 0
 
 
 def cmd_scan(args) -> int:
@@ -337,6 +344,9 @@ def cmd_scan(args) -> int:
     steps = args.steps
     if steps is None:
         steps = DEFAULT_FIG1_STEPS if kind == "fig1" else DEFAULT_STEPS
+    require_at_most("--d", args.d, MAX_D)
+    require_at_most("the scan's row count", steps ** 2 if kind == "fig1"
+                    else steps, MAX_SCAN_ROWS)
     if kind == "chi-threshold":
         rows = chi_threshold_scan(steps)
     elif kind == "fig1":
@@ -344,10 +354,8 @@ def cmd_scan(args) -> int:
         rows = fig1_surfaces(steps)
     elif kind == "ratio-theta":
         rows = ratio_theta_scan(steps)
-    elif kind == "xi-sweep":
-        rows = xi_sweep_scan(steps, d=args.d, phi=args.phi)
     else:
-        raise ValueError(f"unknown scan kind {kind!r}")
+        rows = xi_sweep_scan(steps, d=args.d, phi=args.phi)
     _write_csv(args.out, _SCAN_HEADERS[kind], rows)
     return 0
 
@@ -356,10 +364,8 @@ def cmd_probe(args) -> int:
     alg = parse_algebra(args.alg)
     if args.kind == "theorem1":
         report = theorem1_probe(alg, args.trials, seed=args.seed)
-    elif args.kind == "lemma":
-        report = classical_lemma_test(alg, args.trials, seed=args.seed)
     else:
-        raise ValueError(f"unknown probe kind {args.kind!r}")
+        report = classical_lemma_test(alg, args.trials, seed=args.seed)
     print(json.dumps(report.to_json(), indent=2))
     return 0 if report.passed else 1
 

@@ -104,27 +104,31 @@ class SeparableDecomposition:
         return cls(terms)
 
 
-def _pure_states(re, im) -> np.ndarray:
-    """``pure_state(v / np.linalg.norm(v))`` for each row v = re + i im,
-    with the same arithmetic: a stacked vector product runs the BLAS dot
+def _dots(x, y):
+    """Row-wise x . y as a stacked vector product, which runs the BLAS dot
     that ``norm`` and ``vdot`` run on one vector."""
-    def dots(x, y):
-        return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
+
+def _unit_rows(re, im) -> np.ndarray:
+    """``v / np.linalg.norm(v)`` for each row v = re + i im, with the same
+    arithmetic."""
     v = re + 1j * im
-    v = v / np.sqrt(dots(v.real, v.real) + dots(v.imag, v.imag))[:, None]
-    norm_sq = dots(v.conj(), v).real
+    return v / np.sqrt(_dots(v.real, v.real) + _dots(v.imag, v.imag))[:, None]
+
+
+def _projectors(v) -> np.ndarray:
+    """``pure_state(v)`` for each row v, with the same arithmetic."""
+    norm_sq = _dots(v.conj(), v).real
     return v[:, :, None] * v.conj()[:, None, :] / norm_sq[:, None, None]
 
 
-def _random_product_terms(rng: np.random.Generator, count: int, d_a: int,
-                          d_b: int):
-    """``count`` Haar-random pure states per factor from one
-    ``standard_normal`` call, term by term: re a, im a, re b, im b."""
+def random_unit_pairs(rng, count: int, d_a: int, d_b: int):
+    """``count`` Haar-random unit vectors per factor from one
+    ``standard_normal`` call, pair by pair: re a, im a, re b, im b."""
     z = rng.standard_normal((count, 2 * (d_a + d_b)))
-    a, b = z[:, :2 * d_a], z[:, 2 * d_a:]
-    return (_pure_states(a[:, :d_a], a[:, d_a:]),
-            _pure_states(b[:, :d_b], b[:, d_b:]))
+    re_a, im_a, re_b, im_b = np.split(z, np.cumsum([d_a, d_a, d_b]), axis=1)
+    return _unit_rows(re_a, im_a), _unit_rows(re_b, im_b)
 
 
 def random_pure_product(d_a: int, d_b: int, seed: int):
@@ -132,7 +136,7 @@ def random_pure_product(d_a: int, d_b: int, seed: int):
     if d_a < 1 or d_b < 1:
         raise ValueError("local dimensions must be >= 1")
     rng = np.random.default_rng(seed)
-    (rho_a,), (rho_b,) = _random_product_terms(rng, 1, d_a, d_b)
+    (rho_a,), (rho_b,) = map(_projectors, random_unit_pairs(rng, 1, d_a, d_b))
     decomp = SeparableDecomposition([(1.0, rho_a, rho_b)])
     return tensor(rho_a, rho_b), decomp
 
@@ -152,7 +156,8 @@ def random_separable(d_a: int, d_b: int, num_terms: int | None = None,
         raise ValueError("num_terms must be >= 1")
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(num_terms))
-    rho_a, rho_b = _random_product_terms(rng, num_terms, d_a, d_b)
+    rho_a, rho_b = map(_projectors,
+                       random_unit_pairs(rng, num_terms, d_a, d_b))
     n = d_a * d_b
     # tensor(rho_a, rho_b) per term: (i*d_b+k, j*d_b+l) <- a[i,j] * b[k,l]
     products = (rho_a[:, :, None, :, None]

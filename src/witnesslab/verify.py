@@ -10,8 +10,8 @@ size; only a refuting vertex is built as a dense state.  The entanglement
 side has no exact decision procedure; the product-state minimum is
 estimated by see-saw alternation (an upper bound on the true minimum),
 with all restarts run as one stack of GEMMs and eigensolves.  At total
-dimension <= 6 it is cross-checked against a dense grid over the smaller
-factor (at most a qubit), every basin of which is polished by see-saw.
+dimension <= 6 every basin of a dense grid over the smaller factor (at
+most a qubit) is one more see-saw start.
 Reports always carry enough data to re-evaluate the verdict
 independently; their JSON is their dataclass fields in declaration order.
 """
@@ -29,7 +29,7 @@ from .algebra import (BipartiteAlgebra, classical_state,
                       sector_labels, _random_block_raw, _random_element)
 from .linalg import (EXACT_TOL, RESIDUAL_TOL, TOL, anticommutator, frobenius,
                      hermitian_part, matrix_to_json, require_hermitian)
-from .states import pure_state
+from .states import pure_state, random_unit_pairs
 from .witnesses import QubitQWParams, qubit_qw
 
 DEFAULT_RESTARTS = 32
@@ -37,7 +37,6 @@ DEFAULT_SEED = 42
 SEESAW_CONVERGENCE = 1e-12
 SEESAW_MAX_ITERS = 500
 GRID_ORACLE_MAX_DIM = 6
-GRID_ORACLE_AGREEMENT = 1e-6
 # The noncommutative theorem-1 search takes a pair only when {X, Y} has an
 # eigenvalue this far below zero, clear of rounding.
 THEOREM1_SEARCH_MARGIN = 1e-8
@@ -140,11 +139,6 @@ def check_quantumness_witness(q, alg: BipartiteAlgebra) -> WitnessReport:
 # Product-state minimization for entanglement witnesses
 
 
-def _unit_draw(rng, d) -> np.ndarray:
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return v / np.linalg.norm(v)
-
-
 def _party_matrices(e4):
     """E as e_a, e_b: <b|E|b> = e_a vec(conj(b) b^T), and alike for a."""
     d_a, d_b = e4.shape[:2]
@@ -195,6 +189,10 @@ def _bloch_grid() -> np.ndarray:
     return grid.reshape(-1, 2)
 
 
+BLOCH_GRID = _bloch_grid()
+BLOCH_GRID.flags.writeable = False
+
+
 def _grid_basins(floor, noise) -> np.ndarray:
     """Indices of the Bloch-grid points to polish: the best point, and every
     point more than ``noise`` below its 8 neighbours.  Phi wraps around;
@@ -212,26 +210,20 @@ def _grid_basins(floor, noise) -> np.ndarray:
     return np.flatnonzero(basins)
 
 
-def _grid_polish_minimum(e, d_a, d_b):
-    """Dense-grid-plus-polish estimate of the product minimum.
-
-    The parties are exchanged so that A is the smaller factor, which
-    total dimension <= GRID_ORACLE_MAX_DIM keeps at most a qubit.  A is
-    swept over a 5-degree Bloch grid (one point if it is one-dimensional)
-    while B is minimized exactly as a bottom eigenvalue; every grid basin
-    (see ``_grid_basins``) is then polished by see-saw, as one stack.
-    """
-    e4 = e.reshape(d_a, d_b, d_a, d_b)
-    if d_a > d_b:
-        e4 = e4.transpose(1, 0, 3, 2)
-    grid = _bloch_grid() if min(d_a, d_b) == 2 else np.ones((1, 1), complex)
-    contracted = _local_operators(_party_matrices(e4)[1], grid)
+def _grid_starts(e4, noise):
+    """See-saw starts (a, b) from a dense grid over the smaller factor,
+    which total dimension <= GRID_ORACLE_MAX_DIM keeps at most a qubit.
+    That side sweeps the Bloch grid (one point if it is one-dimensional)
+    while the other is minimized exactly as a bottom eigenvector; every
+    grid basin (see ``_grid_basins``) is one start."""
+    d_a, d_b = e4.shape[:2]
+    e_a, e_b = _party_matrices(e4)
+    grid = BLOCH_GRID if min(d_a, d_b) == 2 else np.ones((1, 1), complex)
+    contracted = _local_operators(e_b if d_a <= d_b else e_a, grid)
     floor = np.linalg.eigvalsh(contracted)[:, 0]
-    starts = (_grid_basins(floor, EXACT_TOL * max(1.0, frobenius(e)))
-              if floor.size > 1 else [0])
-    _, vecs = np.linalg.eigh(contracted[starts])
-    values, _, _ = _seesaw(e4, grid[starts], vecs[..., 0])
-    return values.min()
+    starts = _grid_basins(floor, noise) if floor.size > 1 else [0]
+    other = np.linalg.eigh(contracted[starts])[1][..., 0]
+    return (grid[starts], other) if d_a <= d_b else (other, grid[starts])
 
 
 def require_dims(d_a: int, d_b: int) -> None:
@@ -248,12 +240,14 @@ def check_entanglement_witness(e, d_a: int, d_b: int,
     it is estimated with ``restarts`` independent see-saw runs, stacked
     PROBE_BLOCK at a time (the first best start wins, so a fixed seed
     reproduces the report exactly).  For total dimension <=
-    GRID_ORACLE_MAX_DIM a grid+polish oracle must agree within
-    GRID_ORACLE_AGREEMENT or the run fails.  A nonnegative estimate only
+    GRID_ORACLE_MAX_DIM the basins of a dense grid (``_grid_starts``) run
+    as one more stack, whose best wins only if it lies more than the noise
+    floor EXACT_TOL * max(1, ||E||_F) below the restarts' best.  Either
+    way a product state realises the value.  A nonnegative estimate only
     upper-bounds the truth, so a confirmed verdict is flagged heuristic.
-    An estimate between -TOL and the noise floor
-    -EXACT_TOL * max(1, ||E||_F) is a real sub-tolerance signal (swap and
-    Bell sit exactly at zero) and is reported as inconclusive.
+    An estimate between -TOL and minus the noise floor is a real
+    sub-tolerance signal (swap and Bell sit exactly at zero) and is
+    reported as inconclusive.
     """
     require_dims(d_a, d_b)
     e = require_hermitian(e, "witness")
@@ -265,36 +259,30 @@ def check_entanglement_witness(e, d_a: int, d_b: int,
         raise ValueError("restarts must be >= 1")
     e4 = e.reshape(d_a, d_b, d_a, d_b)
 
-    # Restart r draws a (real, then imaginary), then b; stacks run in order.
+    noise = EXACT_TOL * max(1.0, frobenius(e))
     rng = np.random.default_rng(seed)
+
+    def stacks():
+        """(starts, margin) per stack: restart r draws a (real, then
+        imaginary), then b, and the grid basins come last."""
+        for count in _blocks(restarts):
+            yield random_unit_pairs(rng, count, d_a, d_b), 0.0
+        if d_a * d_b <= GRID_ORACLE_MAX_DIM:
+            yield _grid_starts(e4, noise), noise
+
     best_value = math.inf
-    best_pair = None
-    for count in _blocks(restarts):
-        a = np.empty((count, d_a), dtype=complex)
-        b = np.empty((count, d_b), dtype=complex)
-        for r in range(count):
-            a[r], b[r] = _unit_draw(rng, d_a), _unit_draw(rng, d_b)
-        values, a, b = _seesaw(e4, a, b)
+    for starts, margin in stacks():
+        values, a, b = _seesaw(e4, *starts)
         r = int(np.argmin(values))
-        if values[r] < best_value:
+        if values[r] < best_value - margin:
             best_value = float(values[r])
             best_pair = (a[r], b[r])
-
-    if d_a * d_b <= GRID_ORACLE_MAX_DIM:
-        oracle_value = _grid_polish_minimum(e, d_a, d_b)
-        if abs(oracle_value - best_value) > GRID_ORACLE_AGREEMENT:
-            raise RuntimeError(
-                f"see-saw ({best_value:.12g}) and grid oracle "
-                f"({oracle_value:.12g}) disagree beyond "
-                f"{GRID_ORACLE_AGREEMENT}")
 
     w, v = np.linalg.eigh(hermitian_part(e))
     min_eig = float(w[0])
     eigen_certificate = pure_state(v[:, 0])
-    product_certificate = pure_state(
-        np.kron(best_pair[0], best_pair[1]))
+    product_certificate = pure_state(np.kron(*best_pair))
 
-    noise = EXACT_TOL * max(1.0, frobenius(e))
     if best_value < -TOL:
         verdict = "refuted"            # negative on a separable state
         certificate = product_certificate

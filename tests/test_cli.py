@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 import witnesslab
+import witnesslab.witnesses
+from witnesslab import cli
 from witnesslab import linalg as la
 from witnesslab.cli import main, parse_algebra, sector_basis_permutation
 from witnesslab.verify import check_entanglement_witness
@@ -363,6 +365,47 @@ def test_scan_rejects_zero_steps(tmp_path, capsys, kind):
     assert code == 2
     assert err.startswith("error:")
     assert not out.exists()
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("built an operator or a scan above the cap")
+
+
+@pytest.fixture
+def no_builders(monkeypatch):
+    """Replace every size-driven builder, so a value over a cap is
+    checked without allocating anything."""
+    for name in ("swap_operator", "shifted_swap_factors",
+                 "chi_threshold_scan", "ratio_theta_scan", "xi_sweep_scan"):
+        monkeypatch.setattr(cli, name, _refuse)
+    monkeypatch.setattr(witnesslab.witnesses, "fig1_surfaces", _refuse)
+    return monkeypatch
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "swap", "--d", "200"],
+    ["construct", "shifted-swap", "--d", "33"],
+    ["scan", "xi-sweep", "--d", "33"],
+    ["scan", "chi-threshold", "--steps", "1000000000"],
+    ["scan", "ratio-theta", "--steps", "1000001"],
+    ["scan", "fig1", "--steps", "1001"],         # 1,002,001 rows
+])
+def test_sizes_above_the_caps_exit_2(no_builders, capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "above the cap" in err
+
+
+def test_sizes_at_the_caps_pass(no_builders, tmp_path, capsys):
+    no_builders.setattr(cli, "swap_operator", lambda d: np.eye(1))
+    no_builders.setattr(witnesslab.witnesses, "fig1_surfaces",
+                        lambda steps: [])
+    assert cli.MAX_D == 32 and cli.MAX_SCAN_ROWS == 10**6
+    code, _, _ = run_cli(capsys, "construct", "swap", "--d", "32",
+                         "--out", str(tmp_path / "s.json"))
+    assert code == 0
+    code, out, _ = run_cli(capsys, "scan", "fig1", "--steps", "1000")
+    assert (code, out) == (0, "u,v,bound,min_ratio\r\n")
 
 
 # ------------------------------------------------------------------ probe

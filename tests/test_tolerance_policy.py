@@ -1,8 +1,8 @@
 """Guard for the tolerance policy.
 
 Every "is this zero?" decision goes through the three cutoffs of
-``witnesslab.linalg`` (TOL, EXACT_TOL, RESIDUAL_TOL), and the see-saw,
-grid-oracle and theorem-1 search keep one named constant each in
+``witnesslab.linalg`` (TOL, EXACT_TOL, RESIDUAL_TOL), and the see-saw
+and theorem-1 search keep one named constant each in
 ``witnesslab.verify``.  The guard reads the sources, so a cutoff written
 inline or a ``tol`` parameter added anywhere fails here before it can
 drift apart from the others.
@@ -22,7 +22,6 @@ POLICY = {
     "EXACT_TOL": (linalg, 1e-12),
     "RESIDUAL_TOL": (linalg, 1e-10),
     "SEESAW_CONVERGENCE": (verify, 1e-12),
-    "GRID_ORACLE_AGREEMENT": (verify, 1e-6),
     "THEOREM1_SEARCH_MARGIN": (verify, 1e-8),
 }
 # Floats this small are cutoffs, not data.

@@ -440,6 +440,28 @@ def random_hermitian(n, seed):
     return (g + g.conj().T) / 2.0
 
 
+# The starts as they were drawn before they were stacked: one unit vector
+# at a time, a (real, then imaginary), then b, per restart.
+
+def _unit_draw(rng, d) -> np.ndarray:
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("count", [1, 7, 32])
+@pytest.mark.parametrize("seed", [0, 17, 42, 2**31 - 1])
+def test_stacked_draw_matches_unit_draws(count, seed):
+    for d_a in range(1, 5):
+        for d_b in range(1, 5):
+            rng = np.random.default_rng(seed)
+            a, b = ws.random_unit_pairs(rng, count, d_a, d_b)
+            rng = np.random.default_rng(seed)
+            pairs = [(_unit_draw(rng, d_a), _unit_draw(rng, d_b))
+                     for _ in range(count)]
+            assert np.array_equal(a, np.array([p[0] for p in pairs]))
+            assert np.array_equal(b, np.array([p[1] for p in pairs]))
+
+
 # The see-saw as it ran before restarts were stacked: one start at a
 # time, two 4-index contractions and a 5-operand evaluation per sweep.
 
@@ -474,16 +496,7 @@ def seesaw_per_restart(e4, a, b):
 
 def assert_matches_per_restart(e, d_a, d_b, restarts, seed):
     with mock.patch.object(verify, "_seesaw", seesaw_per_restart):
-        try:
-            ref = check_entanglement_witness(e, d_a, d_b, restarts, seed)
-        except RuntimeError:
-            ref = None
-    if ref is None:
-        # A few starts can miss the basin that the grid oracle finds; the
-        # stacked run must then raise the same disagreement.
-        with pytest.raises(RuntimeError, match="grid oracle"):
-            check_entanglement_witness(e, d_a, d_b, restarts, seed)
-        return None
+        ref = check_entanglement_witness(e, d_a, d_b, restarts, seed)
     report = check_entanglement_witness(e, d_a, d_b, restarts, seed)
     scale = max(1.0, la.frobenius(e))
     assert (abs(report.min_product_expectation - ref.min_product_expectation)
@@ -543,7 +556,7 @@ def test_ew_restarts_beyond_one_stack(monkeypatch):
     monkeypatch.setattr(verify, "_seesaw", all_tied)
     report = check_entanglement_witness(e, 3, 3, 8, 17)
     rng = np.random.default_rng(17)
-    first = np.kron(verify._unit_draw(rng, 3), verify._unit_draw(rng, 3))
+    first = np.kron(_unit_draw(rng, 3), _unit_draw(rng, 3))
     assert np.array_equal(report.certificate_state, ws.pure_state(first))
 
 
@@ -568,7 +581,7 @@ def test_ew_grid_oracle_polishes_every_basin(name, d_a, d_b, minimum,
                                               capsys):
     # Two basins lie within the 5-degree grid's error of each other here.
     # Polishing only the best grid point landed in the shallower one,
-    # 1.6e-4 and 2.3e-4 above the see-saw, and raised a false alarm.
+    # 1.6e-4 and 2.3e-4 above the see-saw.
     e = la.load_matrix(DATA / name)
     for seed in (42, 7):
         report = check_entanglement_witness(e, d_a, d_b, seed=seed)
@@ -577,6 +590,39 @@ def test_ew_grid_oracle_polishes_every_basin(name, d_a, d_b, minimum,
     assert main(["verify", "ew", "--in", str(DATA / name),
                  "--dims", str(d_a), str(d_b)]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "refuted"
+
+
+@pytest.mark.parametrize("d_a,d_b,seeds", [
+    (2, 2, [11, 14, 19]), (2, 3, [0, 2, 5]), (3, 2, [9, 15]),
+])
+def test_ew_grid_basins_are_starts(d_a, d_b, seeds):
+    # One restart misses the deepest basin on these operators; the grid
+    # finds it, so its product state backs the reported minimum.
+    for op_seed in seeds:
+        e = random_hermitian(d_a * d_b, op_seed)
+        scale = max(1.0, la.frobenius(e))
+        report = check_entanglement_witness(e, d_a, d_b, restarts=1)
+        with mock.patch.object(verify, "GRID_ORACLE_MAX_DIM", 0):
+            restarts_only = check_entanglement_witness(
+                e, d_a, d_b, restarts=1).min_product_expectation
+        minimum = report.min_product_expectation
+        assert minimum < restarts_only
+        assert minimum < -la.TOL and report.verdict == "refuted"
+        assert not report.heuristic
+        value = la.expectation(report.certificate_state, e)
+        assert abs(value - minimum) <= 1e-9 * scale
+        pt_min = la.hermitian_eigensystem(la.partial_transpose(
+            report.certificate_state, d_a, d_b)).eigenvalues[0]
+        assert pt_min >= -1e-9
+
+
+def test_cli_ew_one_restart_reports_the_grid_basin(capsys):
+    path = DATA / "ew_missed_basin_2x2.json"
+    assert main(["verify", "ew", "--in", str(path), "--dims", "2", "2",
+                 "--restarts", "1", "--seed", "42"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["verdict"] == "refuted"
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("shape,expected", [
