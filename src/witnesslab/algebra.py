@@ -261,11 +261,18 @@ def _random_block_raw(alg: BipartiteAlgebra, rng: np.random.Generator,
     stacked call therefore draws exactly what the same number of
     unstacked calls would, in the same order.
     """
-    slots = _draw_slots(alg)
+    return _blocks_from_draws(
+        alg, rng.standard_normal(shape + _draw_slots(alg).shape))
+
+
+def _blocks_from_draws(alg: BipartiteAlgebra, draws) -> np.ndarray:
+    """Scatter ``draws`` of shape ``(..., 2 * sum(size**2))``, laid out as
+    ``_random_block_raw`` consumes them, into ``(..., total_dim,
+    total_dim)`` complex matrices supported on the sector grids."""
     n = alg.total_dim
-    out = np.zeros(shape + (2 * n * n,))
-    out[..., slots] = rng.standard_normal(shape + slots.shape)
-    return out.view(complex).reshape(shape + (n, n))
+    out = np.zeros(draws.shape[:-1] + (2 * n * n,))
+    out[..., _draw_slots(alg)] = draws
+    return out.view(complex).reshape(draws.shape[:-1] + (n, n))
 
 
 def _random_element(alg: BipartiteAlgebra, rng: np.random.Generator,

@@ -8,15 +8,16 @@ threshold and surface plots) and ``probe`` (randomized algebra probes).
 Exit codes: 0 the computation completed (verdicts are data, not exit
 status), 1 a probe failed or ``verify both`` found a confirmed
 entanglement witness that is no quantumness witness, 2 invalid input
-(sizes above MAX_D and MAX_SCAN_ROWS included).  The default seed is 42,
-overridable by the WITNESSLAB_SEED environment variable and the --seed
-flag, in that order of precedence.
+(sizes above MAX_D, MAX_SCAN_ROWS and MAX_PROBE_DIM included).  The
+default seed is 42, overridable by the WITNESSLAB_SEED environment
+variable and the --seed flag, in that order of precedence.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -41,9 +42,11 @@ DEFAULT_STEPS = 1000
 DEFAULT_FIG1_STEPS = 64
 DEFAULT_TRIALS = 1000
 # Caps on outside input, checked before anything is allocated: a swap
-# operator on C^d (x) C^d is a d^2 x d^2 complex matrix, 16 MB at d = 32.
+# operator on C^d (x) C^d is a d^2 x d^2 complex matrix, 16 MB at d = 32,
+# and one block of 1024 lemma trials holds 32 MB of factors at dimension 32.
 MAX_D = 32
 MAX_SCAN_ROWS = 10**6
+MAX_PROBE_DIM = 32
 
 
 def require_at_most(what: str, value: int, cap: int) -> None:
@@ -362,6 +365,8 @@ def cmd_scan(args) -> int:
 
 def cmd_probe(args) -> int:
     alg = parse_algebra(args.alg)
+    require_at_most("the algebra's total dimension", alg.total_dim,
+                    MAX_PROBE_DIM)
     if args.kind == "theorem1":
         report = theorem1_probe(alg, args.trials, seed=args.seed)
     else:
@@ -374,6 +379,7 @@ def cmd_probe(args) -> int:
 # Argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="witnesslab",
@@ -381,8 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "witnesses.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    seed = default_seed()
+    # Built once, so --seed has no default of its own: without the flag the
+    # WITNESSLAB_SEED value that main reads on every call is kept.
+    seed = argparse.SUPPRESS
 
     c = sub.add_parser("construct", help="build a witness operator")
     c.add_argument("kind", choices=["swap", "bell", "avr-asym", "avr-sym",
@@ -433,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(
+            argv, argparse.Namespace(seed=default_seed()))
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

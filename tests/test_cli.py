@@ -7,15 +7,20 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import witnesslab
 import witnesslab.witnesses
 from witnesslab import cli
 from witnesslab import linalg as la
+from witnesslab import verify
 from witnesslab.cli import main, parse_algebra, sector_basis_permutation
 from witnesslab.verify import check_entanglement_witness
 from witnesslab.witnesses import swap_operator
@@ -264,6 +269,33 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
     assert with_env == with_flag
 
 
+def test_seed_env_is_read_on_every_call(capsys, monkeypatch):
+    # The parser is built once; the environment default is not.
+    seeds = []
+    for env in ("5", "9"):
+        monkeypatch.setenv("WITNESSLAB_SEED", env)
+        code, out, _ = run_cli(capsys, "probe", "lemma", "--alg", "2;2",
+                               "--trials", "1")
+        assert code == 0
+        seeds.append(json.loads(out)["seed"])
+    assert seeds == [5, 9]
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "swap"],
+    ["verify", "ew", "--in", "missing.json", "--dims", "2", "2"],
+    ["scan", "chi-threshold"],
+    ["probe", "lemma", "--alg", "2;2", "--trials", "1", "--seed", "3"],
+    ["--version"],
+])
+def test_seed_env_not_an_integer_exits_2_everywhere(capsys, monkeypatch,
+                                                    argv):
+    monkeypatch.setenv("WITNESSLAB_SEED", "abc")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: WITNESSLAB_SEED must be an integer, got 'abc'\n"
+
+
 def test_seed_env_not_an_integer():
     env = dict(os.environ, WITNESSLAB_SEED="abc",
                PYTHONPATH=str(Path(witnesslab.__file__).parents[1]))
@@ -368,7 +400,7 @@ def test_scan_rejects_zero_steps(tmp_path, capsys, kind):
 
 
 def _refuse(*_args, **_kwargs):
-    raise AssertionError("built an operator or a scan above the cap")
+    raise AssertionError("built an operator, a scan or a probe above the cap")
 
 
 @pytest.fixture
@@ -376,7 +408,8 @@ def no_builders(monkeypatch):
     """Replace every size-driven builder, so a value over a cap is
     checked without allocating anything."""
     for name in ("swap_operator", "shifted_swap_factors",
-                 "chi_threshold_scan", "ratio_theta_scan", "xi_sweep_scan"):
+                 "chi_threshold_scan", "ratio_theta_scan", "xi_sweep_scan",
+                 "theorem1_probe", "classical_lemma_test"):
         monkeypatch.setattr(cli, name, _refuse)
     monkeypatch.setattr(witnesslab.witnesses, "fig1_surfaces", _refuse)
     return monkeypatch
@@ -389,6 +422,9 @@ def no_builders(monkeypatch):
     ["scan", "chi-threshold", "--steps", "1000000000"],
     ["scan", "ratio-theta", "--steps", "1000001"],
     ["scan", "fig1", "--steps", "1001"],         # 1,002,001 rows
+    ["probe", "lemma", "--alg", "2000", "--trials", "1000"],
+    ["probe", "theorem1", "--alg", "6;6"],
+    ["probe", "lemma", "--alg", "1,1,1;11"],     # 3 x 11 = 33
 ])
 def test_sizes_above_the_caps_exit_2(no_builders, capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -400,12 +436,18 @@ def test_sizes_at_the_caps_pass(no_builders, tmp_path, capsys):
     no_builders.setattr(cli, "swap_operator", lambda d: np.eye(1))
     no_builders.setattr(witnesslab.witnesses, "fig1_surfaces",
                         lambda steps: [])
+    no_builders.setattr(cli, "classical_lemma_test",
+                        verify.classical_lemma_test)
     assert cli.MAX_D == 32 and cli.MAX_SCAN_ROWS == 10**6
+    assert cli.MAX_PROBE_DIM == 32
     code, _, _ = run_cli(capsys, "construct", "swap", "--d", "32",
                          "--out", str(tmp_path / "s.json"))
     assert code == 0
     code, out, _ = run_cli(capsys, "scan", "fig1", "--steps", "1000")
     assert (code, out) == (0, "u,v,bound,min_ratio\r\n")
+    code, out, _ = run_cli(capsys, "probe", "lemma", "--alg", "4,4;2,2",
+                           "--trials", "1")
+    assert code == 0 and json.loads(out)["algebra"]["blocks_b"] == [2, 2]
 
 
 # ------------------------------------------------------------------ probe
@@ -435,6 +477,43 @@ def test_probe_lemma(capsys):
     assert code == 0
     report = json.loads(stdout)
     assert report["passed"]
+
+
+_ALG_TOKEN = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from(["", " ", "x", "1.5", "1e3", "+2", "-", "99999999999",
+                     "٣", "2 2", "\x00"]))
+_ALG_SIDE = st.lists(_ALG_TOKEN, min_size=0, max_size=3).map(",".join)
+_GOOD_SIDE = st.lists(st.integers(1, 6), min_size=1, max_size=3).map(
+    lambda sizes: ",".join(map(str, sizes)))
+
+
+@settings(deadline=None, max_examples=80)
+@given(alg=st.one_of(st.tuples(_GOOD_SIDE, _GOOD_SIDE).map(";".join),
+                     _GOOD_SIDE, _ALG_SIDE,
+                     st.tuples(_ALG_SIDE, _ALG_SIDE).map(";".join),
+                     st.text(max_size=8)),
+       kind=st.sampled_from(["lemma", "theorem1"]),
+       trials=st.integers(-2, 300),
+       seed=st.one_of(st.none(), st.integers(-2, 2**64).map(str),
+                      st.sampled_from(["abc", "", "1.0", "0x10"])),
+       env=st.one_of(st.none(), st.integers(-2, 2**40).map(str),
+                     st.sampled_from(["abc", "", " 7 "])))
+def test_probe_fuzz_never_tracebacks(alg, kind, trials, seed, env):
+    argv = ["probe", kind, f"--alg={alg}", f"--trials={trials}"]
+    if seed is not None:
+        argv.append(f"--seed={seed}")
+    environ = {} if env is None else {"WITNESSLAB_SEED": env}
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, environ), \
+            redirect_stdout(out), redirect_stderr(err):
+        if env is None:
+            os.environ.pop("WITNESSLAB_SEED", None)
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert json.loads(out.getvalue())["kind"] == kind
 
 
 def test_probe_bad_algebra_string(capsys):

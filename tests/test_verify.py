@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from witnesslab import linalg as la
 from witnesslab import states as ws
 from witnesslab import verify
-from witnesslab.algebra import (BipartiteAlgebra, block_layout,
-                                classical_state, full_algebra,
+from witnesslab.algebra import (BipartiteAlgebra, _random_block_raw,
+                                block_layout, classical_state, full_algebra,
                                 random_algebra_element, sector_indices)
 from witnesslab.cli import main
 from witnesslab.verify import (check_entanglement_witness,
@@ -767,6 +767,76 @@ def test_lemma_probe_clean():
         assert report.passed
         assert report.min_anticommutator_expectation > -1e-9
         assert report.min_cross_term > -1e-9
+
+
+# The lemma probe as it ran before its draws went into block buffers: one
+# rng.dirichlet and one _random_block_raw call per trial, then the same
+# stacked evaluation per block.
+
+def _lemma_per_trial(alg, trials, seed):
+    rng = np.random.default_rng(seed)
+    n_k, m_l, n = len(alg.blocks_a), len(alg.blocks_b), alg.total_dim
+    alpha = np.ones(n_k * m_l)
+    violations, min_anti, min_cross, max_residual = 0, math.inf, math.inf, 0.0
+    for count in verify._blocks(trials):
+        weights = np.empty((count, n_k * m_l))
+        factors = np.empty((count, 2, n, n), dtype=complex)
+        for t in range(count):
+            weights[t] = rng.dirichlet(alpha)
+            factors[t] = _random_block_raw(alg, rng, (2,))
+        rho = classical_state(alg, weights.reshape(count, n_k, m_l))
+        p = np.diagonal(rho, axis1=-2, axis2=-1).real.copy()
+        a, b = factors[:, 0], factors[:, 1]
+        x = a.conj().swapaxes(-1, -2) @ a
+        y = b.conj().swapaxes(-1, -2) @ b
+        c = a @ b.conj().swapaxes(-1, -2)
+        xy = np.einsum("tij,tji->ti", x, y)
+        yx = np.einsum("tij,tji->ti", y, x)
+        cc = np.einsum("tji,tji->ti", c.conj(), c)
+        anti = np.sum(p * (xy + yx), axis=-1).real
+        cross = np.sum(p * xy, axis=-1)
+        csqr = np.sum(p * cc, axis=-1).real
+        residual = np.abs(cross - csqr)
+        min_anti = min(min_anti, float(anti.min()))
+        min_cross = min(min_cross, float(csqr.min()))
+        max_residual = max(max_residual, float(residual.max()))
+        scale = np.maximum(1.0, np.abs(csqr))
+        violations += int(np.count_nonzero(
+            (anti < -la.TOL) | (csqr < -la.TOL) | (residual > la.TOL * scale)))
+    return verify.ProbeReport(
+        kind="lemma", algebra=alg, trials=trials, violations=violations,
+        passed=violations == 0, seed=seed, commutative=alg.is_commutative,
+        min_anticommutator_expectation=min_anti, min_cross_term=min_cross,
+        max_identity_residual=max_residual)
+
+
+@settings(deadline=None, max_examples=40)
+@given(blocks_a=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       blocks_b=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       trials=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_lemma_matches_per_trial_draws(blocks_a, blocks_b, trials, seed):
+    # Blocks of 5 split most runs mid-way, so the draw order across block
+    # boundaries is checked too.
+    alg = BipartiteAlgebra(tuple(blocks_a), tuple(blocks_b))
+    with mock.patch.object(verify, "PROBE_BLOCK", 5):
+        assert (classical_lemma_test(alg, trials, seed).to_json()
+                == _lemma_per_trial(alg, trials, seed).to_json())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**31 - 1, 2**63])
+def test_dirichlet_is_normalized_exponentials(seed):
+    # The lemma draws its weights as k standard exponentials times the
+    # reciprocal of their sequential sum; this is what numpy's dirichlet
+    # does for unit concentrations, and it must leave the stream in the
+    # same place.  A numpy that changes that fails here first.
+    for k in range(1, 41):
+        ref, fast = np.random.default_rng(seed), np.random.default_rng(seed)
+        weights = ref.dirichlet(np.ones(k))
+        expo = np.empty((1, k))
+        fast.standard_exponential(out=expo[0])
+        assert np.array_equal(
+            weights, (expo * (1.0 / np.cumsum(expo, axis=1)[:, -1:]))[0])
+        assert np.array_equal(ref.standard_normal(3), fast.standard_normal(3))
 
 
 def test_lemma_vertex_square_nonnegative():
