@@ -4,6 +4,9 @@ Subcommands: ``construct`` (build witness operators and write them as
 JSON matrices with a provenance block), ``verify`` (run the witness
 certifiers on an operator file), ``scan`` (emit CSV datasets for the
 threshold and surface plots) and ``probe`` (randomized algebra probes).
+The ``ratio-theta`` and ``xi-sweep`` scans build and solve their rows in
+stacked blocks of at most MAX_D^3 matrix entries, so their stacked arrays
+do not grow with --steps.
 
 Exit codes: 0 the computation completed (verdicts are data, not exit
 status), 1 a probe failed or ``verify both`` found a confirmed
@@ -27,16 +30,17 @@ import numpy as np
 
 from . import __version__
 from .algebra import BipartiteAlgebra, full_algebra
-from .linalg import (hermitian_eigensystem, load_matrix, matrix_to_json,
-                     save_matrix, tensor)
+from .linalg import (hermitian_eigensystem, hermitian_eigenvalues,
+                     load_matrix, matrix_to_json, save_matrix, tensor)
 from .states import KET_MINUS, KET_PLUS
 from .verify import (DEFAULT_RESTARTS, DEFAULT_SEED,
                      check_entanglement_witness, check_quantumness_witness,
                      classical_lemma_test, ew_implies_qw, require_dims,
                      theorem1_probe)
 from .witnesses import (QubitQWParams, ShiftedSwapParams, bell_chsh,
-                        qubit_qw, shifted_swap_factors,
-                        standard_bell_settings, swap_operator)
+                        qubit_qw, qubit_qw_stack, shifted_swap_factors,
+                        shifted_swap_stack, standard_bell_settings,
+                        swap_operator)
 
 DEFAULT_STEPS = 1000
 DEFAULT_FIG1_STEPS = 64
@@ -130,9 +134,19 @@ def chi_threshold_scan(steps: int):
     e_op = bell_chsh(standard_bell_settings(+1))
     exp_s = np.einsum("bi,ij,bj->b", kets.conj(), s_op, kets).real
     exp_e = np.einsum("bi,ij,bj->b", kets.conj(), e_op, kets).real
-    re_ab = a * b
-    return [(float(r), float(es), float(ee))
-            for r, es, ee in zip(re_ab, exp_s, exp_e)]
+    return list(zip((a * b).tolist(), exp_s.tolist(), exp_e.tolist()))
+
+
+def _blocks(values: np.ndarray, n: int):
+    """Consecutive slices of ``values``, one scan block each.
+
+    A block of n x n matrices holds at most MAX_D^3 entries (512 KB per
+    complex stack), so the stacks do not grow with --steps; a row at the
+    size cap (MAX_D^4 entries) is a block of its own.  (n = 0 comes from
+    --d 0, which the block's builder then refuses.)
+    """
+    size = max(1, MAX_D ** 3 // max(1, n * n))
+    return (values[at:at + size] for at in range(0, len(values), size))
 
 
 def ratio_theta_scan(steps: int):
@@ -144,16 +158,16 @@ def ratio_theta_scan(steps: int):
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    thetas = np.linspace(0.0, math.pi, steps + 2)[1:-1]
     rows = []
-    for theta in thetas:
-        params = QubitQWParams(1.0, 1.0, (0.0, 0.0, 1.0),
-                               (math.sin(theta), 0.0, math.cos(theta)))
-        _, _, q, _, _ = qubit_qw(params)
-        w = hermitian_eigensystem(q).eigenvalues
-        lam_minus, lam_plus = float(w[0]), float(w[-1])
-        rows.append((float(theta), lam_plus, lam_minus,
-                     lam_minus / lam_plus, -math.tan(theta / 4.0) ** 2))
+    for block in _blocks(np.linspace(0.0, math.pi, steps + 2)[1:-1], 2):
+        thetas = block.tolist()
+        v = np.array([(math.sin(t), 0.0, math.cos(t)) for t in thetas])
+        w = hermitian_eigenvalues(qubit_qw_stack(1.0, 1.0, (0.0, 0.0, 1.0),
+                                                 v)[2])
+        lam_minus, lam_plus = w[:, 0], w[:, -1]
+        rows += zip(thetas, lam_plus.tolist(), lam_minus.tolist(),
+                    (lam_minus / lam_plus).tolist(),
+                    [-math.tan(t / 4.0) ** 2 for t in thetas])
     return rows
 
 
@@ -161,17 +175,12 @@ def xi_sweep_scan(steps: int, d: int = 2, phi: float = 0.0):
     """Rows (xi, residual, min_eig_X, min_eig_Y, min_eig_shifted)."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    xis = np.linspace(0.0, 1.0, steps + 2)[1:-1]
-    s_op = swap_operator(d)
     rows = []
-    for xi in xis:
-        x, y, residual = shifted_swap_factors(
-            ShiftedSwapParams(xi=float(xi), phi=phi, d=d))
-        min_x = float(hermitian_eigensystem(x).eigenvalues[0])
-        min_y = float(hermitian_eigensystem(y).eigenvalues[0])
-        shifted = float(xi) * np.eye(d * d) + s_op
-        min_s = float(hermitian_eigensystem(shifted).eigenvalues[0])
-        rows.append((float(xi), float(residual), min_x, min_y, min_s))
+    for xis in _blocks(np.linspace(0.0, 1.0, steps + 2)[1:-1], d * d):
+        x, y, shifted, residual = shifted_swap_stack(xis, phi, d)
+        rows += zip(xis.tolist(), residual.tolist(),
+                    *(hermitian_eigenvalues(m)[:, 0].tolist()
+                      for m in (x, y, shifted)))
     return rows
 
 
@@ -189,9 +198,7 @@ def _write_csv(out_path, header, rows):
     def emit(fh):
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if x is None else repr(float(x))
-                             for x in row])
+        writer.writerows(rows)      # a float as its repr, None as ""
 
     if out_path is None:
         emit(sys.stdout)

@@ -121,6 +121,24 @@ def hermitian_eigensystem(h) -> EigenSystem:
     return EigenSystem(w, v)
 
 
+def hermitian_eigenvalues(stack) -> np.ndarray:
+    """Ascending eigenvalues of every matrix of a stack (..., n, n).
+
+    The whole stack is checked as ``require_hermitian`` checks one matrix:
+    finite entries, each matrix Hermitian within TOL * max(1, ||M||_F).
+    Each row equals ``hermitian_eigensystem(matrix).eigenvalues`` bit for
+    bit: the same ``eigh`` of the same Hermitian part.
+    """
+    m = np.asarray(stack, dtype=complex)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains NaN or Inf entries")
+    scale = np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
+    deviation = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    if not (deviation <= TOL * scale).all():
+        raise ValueError("operator is not Hermitian within tolerance")
+    return np.linalg.eigh(hermitian_part(m))[0]
+
+
 def is_positive_semidefinite(h, what: str = "operator") -> tuple[bool, float]:
     """(PSD verdict, minimum eigenvalue) for a Hermitian matrix."""
     h = as_matrix(h)
@@ -160,15 +178,16 @@ def partial_transpose(m, dim_a: int, dim_b: int) -> np.ndarray:
 
 def matrix_to_json(m) -> dict:
     m = as_matrix(m)
-    n = m.shape[0]
-    return {
-        "dim": n,
-        "re": [float(x) for x in m.real.ravel()],
-        "im": [float(x) for x in m.imag.ravel()],
-    }
+    return {"dim": m.shape[0], "re": m.real.ravel().tolist(),
+            "im": m.imag.ravel().tolist()}
 
 
 def matrix_from_json(obj) -> np.ndarray:
+    """The matrix of a matrix JSON object, as ``json.load`` returns it.
+
+    ``re`` and ``im`` must be flat lists of JSON numbers (int or float;
+    booleans, strings and nested values are refused).
+    """
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
     for key in ("dim", "re", "im"):
@@ -177,24 +196,42 @@ def matrix_from_json(obj) -> np.ndarray:
     dim = obj["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ValueError("matrix JSON 'dim' must be a positive integer")
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
-    if re.shape != (dim * dim,) or im.shape != (dim * dim,):
+    parts = obj["re"], obj["im"]
+    if not all(isinstance(p, list) and set(map(type, p)) <= {int, float}
+               for p in parts):
+        raise ValueError("matrix JSON 're'/'im' must be lists of numbers")
+    if len(parts[0]) != dim * dim or len(parts[1]) != dim * dim:
         raise ValueError("matrix JSON 're'/'im' must hold dim*dim floats")
-    m = (re + 1j * im).reshape(dim, dim)
-    return as_matrix(m)
+    try:
+        re, im = (np.array(p, dtype=float) for p in parts)
+    except OverflowError:
+        raise ValueError("matrix JSON entry too large for a float") from None
+    return as_matrix((re + 1j * im).reshape(dim, dim))
 
 
 def save_matrix(path, m, provenance: dict | None = None) -> None:
-    """Write a matrix (plus an optional provenance block) to ``path``."""
+    """Write a matrix (plus an optional provenance block) to ``path``.
+
+    The text is what ``json.dump(doc, fh, indent=2)`` and a newline would
+    write.  json's indenting encoder runs in pure Python, so the two float
+    lists are joined here and only the provenance goes through ``json``.
+    """
     doc = matrix_to_json(m)
+    fields = [f'"dim": {doc["dim"]}']
+    for key in ("re", "im"):
+        numbers = ",\n    ".join(map(float.__repr__, doc[key]))
+        fields.append(f'"{key}": [\n    {numbers}\n  ]')
     if provenance is not None:
-        doc["provenance"] = provenance
+        fields.append('"provenance": ' + json.dumps(
+            provenance, indent=2).replace("\n", "\n  "))
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write("{\n  " + ",\n  ".join(fields) + "\n}\n")
 
 
 def load_matrix(path) -> np.ndarray:
     with open(path) as fh:
-        return matrix_from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("matrix JSON nests too deeply") from None
+    return matrix_from_json(doc)

@@ -144,17 +144,48 @@ class QubitQWParams:
     def __post_init__(self):
         self.alpha = float(self.alpha)
         self.beta = float(self.beta)
-        if self.alpha <= 0.0 or self.beta <= 0.0:
-            raise ValueError("alpha and beta must be strictly positive")
         self.u = np.asarray(self.u, dtype=float).reshape(3)
         self.v = np.asarray(self.v, dtype=float).reshape(3)
-        if np.linalg.norm(self.u) > 1.0 + EXACT_TOL or \
-                np.linalg.norm(self.v) > 1.0 + EXACT_TOL:
-            raise ValueError("Bloch vectors must have length <= 1")
+        _check_qubit_rows(self.alpha, self.beta, self.u, self.v)
+
+
+def _check_qubit_rows(alpha, beta, u, v) -> None:
+    """Raise unless every row has finite alpha, beta > 0 and Bloch vectors
+    u, v (along the last axis) of length at most 1; rows broadcast."""
+    if not (np.all(alpha > 0.0) and np.all(beta > 0.0)):
+        raise ValueError("alpha and beta must be strictly positive")
+    if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
+        raise ValueError("alpha and beta must be finite")
+    with np.errstate(over="ignore"):     # a huge entry is an infinite length
+        lengths = np.linalg.norm(u, axis=-1), np.linalg.norm(v, axis=-1)
+    if not all(np.all(n <= 1.0 + EXACT_TOL) for n in lengths):
+        raise ValueError("Bloch vectors must have length <= 1")
 
 
 def _bloch(vec) -> np.ndarray:
-    return sum(c * p for c, p in zip(vec, PAULI))
+    """u.sigma for every Bloch vector along the last axis of ``vec``."""
+    return sum(c[..., None, None] * p
+               for c, p in zip(np.moveaxis(vec, -1, 0), PAULI))
+
+
+def qubit_qw_stack(alpha, beta, u, v):
+    """X, Y and Q = {X, Y} of the qubit pair for a stack of parameters.
+
+    ``alpha`` and ``beta`` have shape (...), ``u`` and ``v`` shape
+    (..., 3); the three results have shape (..., 2, 2).  Every row is
+    checked as QubitQWParams checks one.
+    """
+    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    _check_qubit_rows(alpha, beta, u, v)
+    eye = np.eye(2)
+    x = (0.5 * alpha)[..., None, None] * (eye + _bloch(u))
+    y = (0.5 * beta)[..., None, None] * (eye + _bloch(v))
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = x @ y + y @ x
+    if not np.isfinite(q).all():
+        raise ValueError("{X, Y} overflows: alpha * beta is too large")
+    return x, y, q
 
 
 def qubit_qw(p: QubitQWParams):
@@ -164,15 +195,14 @@ def qubit_qw(p: QubitQWParams):
     Q = {X,Y} = alpha*beta/2 [1 + u.v + (u+v).sigma] and
     lambda_pm = alpha*beta/2 (1 + u.v +/- |u+v|).
     """
-    eye = np.eye(2)
-    x = 0.5 * p.alpha * (eye + _bloch(p.u))
-    y = 0.5 * p.beta * (eye + _bloch(p.v))
-    q = anticommutator(x, y)
+    x, y, q = qubit_qw_stack(p.alpha, p.beta, p.u, p.v)
     half_ab = 0.5 * p.alpha * p.beta
     dot = float(np.dot(p.u, p.v))
     plus_len = float(np.linalg.norm(p.u + p.v))
     lam_plus = half_ab * (1.0 + dot + plus_len)
     lam_minus = half_ab * (1.0 + dot - plus_len)
+    if not math.isfinite(lam_plus):
+        raise ValueError("lambda_plus overflows: alpha * beta is too large")
     return x, y, q, lam_plus, lam_minus
 
 
@@ -231,13 +261,71 @@ class ShiftedSwapParams:
     d: int = 2
 
     def __post_init__(self):
-        self.xi = float(self.xi)
-        if not 0.0 < self.xi < 1.0:
-            raise ValueError("xi must lie strictly inside (0, 1)")
-        self.phi = float(self.phi) % (2.0 * math.pi)
+        xi, self.phi = _checked_shift(self.xi, self.phi)
+        self.xi = float(xi)
         self.d = int(self.d)
         if self.d < 2:
             raise ValueError("local dimension must be >= 2")
+
+
+def _checked_shift(xi, phi):
+    """The shifts as a checked array, and the phase reduced to [0, 2 pi)."""
+    xi = np.asarray(xi, dtype=float)
+    if not np.all((0.0 < xi) & (xi < 1.0)):
+        raise ValueError("xi must lie strictly inside (0, 1)")
+    phi = float(phi)
+    if not math.isfinite(phi):
+        raise ValueError("phi must be finite")
+    return xi, phi % (2.0 * math.pi)
+
+
+def shifted_swap_stack(xi, phi: float = 0.0, d: int = 2):
+    """The factorization of shifted_swap_factors for a stack of shifts.
+
+    ``xi`` has shape (...) and shares one phase and dimension; shifts and
+    phase are checked and reduced as ShiftedSwapParams does.  Returns
+    (X, Y, xi*I + S, residuals): three stacks of shape (..., d^2, d^2) and
+    the Frobenius residuals, shape (...), each one norm of one matrix.
+    """
+    swap = swap_operator(d)
+    xi, phi = _checked_shift(xi, phi)
+    return _shifted_swap_rows(xi, phi, swap)
+
+
+def _shifted_swap_rows(xi, phi, swap):
+    d = math.isqrt(len(swap))
+    n = d * d
+    x = np.zeros(xi.shape + (n, n), dtype=complex)
+    y = np.zeros_like(x)
+    ii = np.arange(d) * (d + 1)
+    x[..., ii, ii] = y[..., ii, ii] = np.sqrt((1.0 + xi) / 2.0)[..., None]
+    # Every sector span{|ij>, |ji>} carries the same 2x2 block in the basis
+    # (|ij>, |ji>), so the block is computed once and added at each sector.
+    r = 1.0 / math.sqrt(2.0)
+    lam_p = np.array([r, r], dtype=complex)
+    lam_m = np.array([r, -r], dtype=complex)
+    col = xi[..., None, None]
+    diag2 = ((1.0 + col) * np.outer(lam_p, lam_p.conj())
+             + (1.0 - col) * np.outer(lam_m, lam_m.conj()))
+    cross = np.sqrt(1.0 - col * col) * (
+        np.exp(-1j * phi) * np.outer(lam_p, lam_m.conj())
+        + np.exp(1j * phi) * np.outer(lam_m, lam_p.conj()))
+    scale = 1.0 / (2.0 * np.sqrt(col))
+    ij, ji = np.array([(i * d + j, j * d + i) for i in range(d)
+                       for j in range(i + 1, d)]).T
+    rows = np.stack([ij, ij, ji, ji], axis=-1).ravel()
+    cols = np.stack([ij, ji, ij, ji], axis=-1).ravel()
+    for out, block in ((x, scale * (diag2 + cross)),
+                       (y, scale * (diag2 - cross))):
+        out[..., rows, cols] += np.tile(block.reshape(xi.shape + (4,)),
+                                        len(ij))
+    shifted = col * np.eye(n) + swap
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = (x @ y + y @ x - shifted).reshape(-1, n, n)
+        residual = np.array([frobenius(m) for m in diff]).reshape(xi.shape)
+    if not np.isfinite(residual).all():
+        raise ValueError("{X, Y} overflows: xi is too small")
+    return x, y, shifted, residual
 
 
 def shifted_swap_factors(p: ShiftedSwapParams):
@@ -256,28 +344,6 @@ def shifted_swap_factors(p: ShiftedSwapParams):
     of both factors is sqrt((1+xi)/2).  Returns (X, Y, residual) with
     residual = ||{X,Y} - (xi*I + S)||_F.
     """
-    d, xi, phi = p.d, p.xi, p.phi
-    n = d * d
-    x = np.zeros((n, n), dtype=complex)
-    y = np.zeros((n, n), dtype=complex)
-    for i in range(d):
-        x[i * d + i, i * d + i] = y[i * d + i, i * d + i] = \
-            math.sqrt((1.0 + xi) / 2.0)
-    scale = 1.0 / (2.0 * math.sqrt(xi))
-    off = math.sqrt(1.0 - xi * xi)
-    for i in range(d):
-        for j in range(i + 1, d):
-            lam_p = np.zeros(n, dtype=complex)
-            lam_m = np.zeros(n, dtype=complex)
-            lam_p[i * d + j] = lam_p[j * d + i] = 1.0 / math.sqrt(2.0)
-            lam_m[i * d + j] = 1.0 / math.sqrt(2.0)
-            lam_m[j * d + i] = -1.0 / math.sqrt(2.0)
-            diag = ((1.0 + xi) * np.outer(lam_p, lam_p.conj())
-                    + (1.0 - xi) * np.outer(lam_m, lam_m.conj()))
-            cross = off * (np.exp(-1j * phi) * np.outer(lam_p, lam_m.conj())
-                           + np.exp(1j * phi) * np.outer(lam_m, lam_p.conj()))
-            x += scale * (diag + cross)
-            y += scale * (diag - cross)
-    shifted = xi * np.eye(n) + swap_operator(d)
-    residual = frobenius(anticommutator(x, y) - shifted)
-    return x, y, residual
+    x, y, _, residual = _shifted_swap_rows(np.asarray(p.xi), p.phi,
+                                           swap_operator(p.d))
+    return x, y, float(residual)

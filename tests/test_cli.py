@@ -7,13 +7,15 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import witnesslab
@@ -23,7 +25,8 @@ from witnesslab import linalg as la
 from witnesslab import verify
 from witnesslab.cli import main, parse_algebra, sector_basis_permutation
 from witnesslab.verify import check_entanglement_witness
-from witnesslab.witnesses import swap_operator
+from witnesslab.witnesses import (QubitQWParams, ShiftedSwapParams, qubit_qw,
+                                  shifted_swap_factors, swap_operator)
 
 RT2 = math.sqrt(2.0)
 
@@ -397,6 +400,233 @@ def test_scan_rejects_zero_steps(tmp_path, capsys, kind):
     assert code == 2
     assert err.startswith("error:")
     assert not out.exists()
+
+
+def _ratio_theta_rows(steps):
+    """The per-row loop the stacked ratio-theta scan replaced."""
+    rows = []
+    for theta in np.linspace(0.0, math.pi, steps + 2)[1:-1]:
+        params = QubitQWParams(1.0, 1.0, (0.0, 0.0, 1.0),
+                               (math.sin(theta), 0.0, math.cos(theta)))
+        _, _, q, _, _ = qubit_qw(params)
+        w = la.hermitian_eigensystem(q).eigenvalues
+        lam_minus, lam_plus = float(w[0]), float(w[-1])
+        rows.append((float(theta), lam_plus, lam_minus,
+                     lam_minus / lam_plus, -math.tan(theta / 4.0) ** 2))
+    return rows
+
+
+def _xi_sweep_rows(steps, d, phi):
+    """The per-row loop the stacked xi-sweep scan replaced."""
+    s_op = swap_operator(d)
+    rows = []
+    for xi in np.linspace(0.0, 1.0, steps + 2)[1:-1]:
+        x, y, residual = shifted_swap_factors(
+            ShiftedSwapParams(xi=float(xi), phi=phi, d=d))
+        min_x = float(la.hermitian_eigensystem(x).eigenvalues[0])
+        min_y = float(la.hermitian_eigensystem(y).eigenvalues[0])
+        shifted = float(xi) * np.eye(d * d) + s_op
+        min_s = float(la.hermitian_eigensystem(shifted).eigenvalues[0])
+        rows.append((float(xi), float(residual), min_x, min_y, min_s))
+    return rows
+
+
+def _reference_csv(header, rows):
+    """CSV text as the per-cell writer the scans used to have wrote it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(["" if x is None else repr(float(x)) for x in row])
+    return buf.getvalue()
+
+
+def _scan_csv(tmp_path, kind, rows):
+    path = tmp_path / f"{kind}.csv"
+    cli._write_csv(path, cli._SCAN_HEADERS[kind], rows)
+    return path.read_bytes().decode()
+
+
+_STACKED_SCANS = (
+    [("ratio-theta", steps, {}) for steps in (1, 2, 3, 60, 1000)]
+    + [("xi-sweep", steps, {"d": 2, "phi": 0.7})
+       for steps in (1, 2, 3, 60, 1000)]
+    + [("xi-sweep", 60, {"d": d, "phi": phi})
+       for d in (2, 3, 4) for phi in (0.0, 0.7, -2.0, 3.1)])
+
+
+@pytest.mark.parametrize("kind, steps, kw", _STACKED_SCANS)
+def test_stacked_scan_matches_per_row_loop(tmp_path, kind, steps, kw):
+    if kind == "ratio-theta":
+        got, want = cli.ratio_theta_scan(steps), _ratio_theta_rows(steps)
+    else:
+        got = cli.xi_sweep_scan(steps, **kw)
+        want = _xi_sweep_rows(steps, kw["d"], kw["phi"])
+    header = cli._SCAN_HEADERS[kind]
+    assert _scan_csv(tmp_path, kind, got) == _reference_csv(header, want)
+
+
+@pytest.mark.parametrize("kind, d, block_rows", [
+    ("ratio-theta", 2, 16),     # 4^3 // 2^2
+    ("xi-sweep", 2, 4),         # 4^3 // 4^2
+    ("xi-sweep", 3, 1),         # a 9 x 9 row is a block of its own
+    ("xi-sweep", 4, 1)])
+def test_stacked_scan_spans_blocks(tmp_path, monkeypatch, kind, d,
+                                   block_rows):
+    # blocks hold at most MAX_D^3 matrix entries; a smaller cap makes the
+    # 61 rows span several blocks
+    monkeypatch.setattr(cli, "MAX_D", 4)
+    builder = "qubit_qw_stack" if kind == "ratio-theta" \
+        else "shifted_swap_stack"
+    sizes = []
+    real = getattr(cli, builder)
+
+    def spy(*args):
+        out = real(*args)
+        sizes.append(len(out[2]))           # rows of Q, or of xi*I + S
+        return out
+
+    monkeypatch.setattr(cli, builder, spy)
+    if kind == "ratio-theta":
+        got, want = cli.ratio_theta_scan(61), _ratio_theta_rows(61)
+    else:
+        got, want = cli.xi_sweep_scan(61, d, 1.3), _xi_sweep_rows(61, d, 1.3)
+    assert sizes == [block_rows] * (61 // block_rows) + (
+        [61 % block_rows] if 61 % block_rows else [])
+    header = cli._SCAN_HEADERS[kind]
+    assert _scan_csv(tmp_path, kind, got) == _reference_csv(header, want)
+
+
+@pytest.mark.parametrize("kind, steps", [("chi-threshold", 400),
+                                         ("fig1", 12)])
+def test_scan_csv_writer_formats_as_before(tmp_path, kind, steps):
+    rows = (cli.chi_threshold_scan(steps) if kind == "chi-threshold"
+            else witnesslab.witnesses.fig1_surfaces(steps))
+    assert any(None in row for row in rows) == (kind == "fig1")
+    header = cli._SCAN_HEADERS[kind]
+    assert _scan_csv(tmp_path, kind, rows) == _reference_csv(header, rows)
+
+
+def test_scan_rejects_non_finite_phase(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "hermitian_eigenvalues", _refuse)
+    for phi in ("nan", "inf", "-inf"):
+        code, out, err = run_cli(capsys, "scan", "xi-sweep", f"--phi={phi}")
+        assert (code, out, err) == (2, "", "error: phi must be finite\n")
+
+
+def _run_quiet(argv):
+    """Exit code, stdout, stderr and the warnings raised by one call."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue(), caught
+
+
+def _assert_clean_exit(code, err, caught):
+    event(f"exit {code}")
+    assert code in (0, 2), err
+    assert "Traceback" not in err and "Warning" not in err
+    assert [str(w.message) for w in caught] == []
+
+
+_REAL = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "1e-320",
+                     "5e-324", "1e200", "1e308", "-1e308", "x", ""]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr))
+_SMALL_INT = st.one_of(st.integers(-3, 6).map(str),
+                       st.sampled_from(["33", "1000001", "nan", "1.5", ""]))
+
+
+@settings(deadline=None, max_examples=80)
+@given(kind=st.sampled_from(["chi-threshold", "fig1", "ratio-theta",
+                             "xi-sweep"]),
+       steps=st.one_of(st.integers(-3, 40).map(str),
+                       st.sampled_from(["1001", "1000001", "nan", ""])),
+       d=_SMALL_INT, phi=_REAL)
+def test_scan_fuzz_never_tracebacks(kind, steps, d, phi):
+    code, out, err, caught = _run_quiet(
+        ["scan", kind, f"--steps={steps}", f"--d={d}", f"--phi={phi}"])
+    _assert_clean_exit(code, err, caught)
+    if code == 0:
+        header, rows = read_csv_text(out)
+        assert header == cli._SCAN_HEADERS[kind]
+        assert len(rows) == (int(steps) ** 2 if kind == "fig1"
+                             else int(steps))
+
+
+_VEC = st.one_of(st.tuples(_REAL, _REAL, _REAL).map(",".join),
+                 st.sampled_from(["1,0", "0,0,1,0", "a,b,c", ""]))
+
+
+@settings(deadline=None, max_examples=120)
+@given(kind=st.sampled_from(["swap", "bell", "avr-asym", "avr-sym",
+                             "qubit-qw", "shifted-swap"]),
+       d=_SMALL_INT, xi=_REAL, phi=_REAL, alpha=_REAL, beta=_REAL,
+       u=_VEC, v=_VEC)
+def test_construct_fuzz_never_tracebacks(kind, d, xi, phi, alpha, beta, u,
+                                         v):
+    code, out, err, caught = _run_quiet(
+        ["construct", kind, f"--d={d}", f"--xi={xi}", f"--phi={phi}",
+         f"--alpha={alpha}", f"--beta={beta}", f"--u={u}", f"--v={v}"])
+    _assert_clean_exit(code, err, caught)
+    if code == 0:
+        doc = json.loads(out, parse_constant=_refuse)   # no NaN, Infinity
+        assert "Q" in doc and doc["provenance"]["kind"] == kind
+        for name in set(doc) - {"provenance"}:
+            la.matrix_from_json(doc[name])
+
+
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3)
+    | st.floats() | st.sampled_from([10 ** 400, 1e308]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["dim", "re", "im", "x"]), inner,
+                      max_size=4),
+    max_leaves=10)
+_NUMBERS = st.lists(st.integers(-2, 2) | st.floats(-2, 2), min_size=1,
+                    max_size=4)
+_MATRIX_DOC = st.fixed_dictionaries(
+    {"dim": st.sampled_from([1, 2, 0, -1, True, 1.0, "1", None]),
+     "re": _NUMBERS | _JSON_VALUE, "im": _NUMBERS | _JSON_VALUE})
+
+
+_FILE_TEXT = st.one_of(
+    _MATRIX_DOC.map(json.dumps), _JSON_VALUE.map(json.dumps),
+    st.text(max_size=20),
+    st.sampled_from(["", "[" * 50_000, '{"dim": 1',
+                     '{"dim": 1, "re": [NaN], "im": [0]}',
+                     '{"dim": 1, "re": [1e999], "im": [0]}']))
+
+
+@settings(deadline=None, max_examples=120)
+@given(text=_FILE_TEXT,
+       argv=st.sampled_from([["qw", "--alg", "1"], ["qw", "--alg", "2"],
+                             ["qw", "--alg", "1,1"],
+                             ["ew", "--dims", "2", "2", "--restarts", "2"]]))
+def test_verify_fuzz_on_malformed_files(text, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        with open(path, "w", encoding="utf-8", errors="surrogatepass") as fh:
+            fh.write(text)
+        code, out, err, caught = _run_quiet(["verify", *argv, "--in", path])
+    _assert_clean_exit(code, err, caught)
+    if code == 0:
+        assert json.loads(out)["verdict"]
+
+
+def test_verify_malformed_entries_exit_2(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    for doc in ({"dim": 1, "re": {"a": 1}, "im": [0]},
+                {"dim": 1, "re": ["1"], "im": [0]},
+                {"dim": 1, "re": [True], "im": [0]}):
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "qw", "--alg", "1",
+                                 "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err == ("error: matrix JSON 're'/'im' must be lists of "
+                       "numbers\n")
 
 
 def _refuse(*_args, **_kwargs):

@@ -1,5 +1,7 @@
 """Unit tests for the dense complex matrix kernel."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,6 +215,40 @@ def test_eigensystem_rejects_non_hermitian():
         la.hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_stacked_eigenvalues_match_one_matrix_at_a_time():
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 4, 9):
+        stack = np.array([rand_hermitian(rng, n) for _ in range(7)])
+        w = la.hermitian_eigenvalues(stack)
+        for h, row in zip(stack, w):
+            assert row.tobytes() == \
+                la.hermitian_eigensystem(h).eigenvalues.tobytes()
+
+
+@pytest.mark.parametrize("scale", [0.01, 50.0])
+@pytest.mark.parametrize("factor,accepted", [(0.5, True), (2.0, False)])
+def test_stacked_eigenvalues_hermitian_boundary(scale, factor, accepted):
+    # each matrix of the stack is held to its own cutoff
+    rng = np.random.default_rng(3)
+    good = rand_hermitian(rng, 4)
+    h = scale * rand_hermitian(rng, 4)
+    cutoff = 1e-9 * max(1.0, la.frobenius(h))
+    anti = np.zeros((4, 4), dtype=complex)
+    anti[0, 1], anti[1, 0] = 0.5, -0.5
+    stack = np.array([good, h + factor * cutoff * anti, good])
+    if accepted:
+        assert la.hermitian_eigenvalues(stack).shape == (3, 4)
+    else:
+        with pytest.raises(ValueError, match="Hermitian"):
+            la.hermitian_eigenvalues(stack)
+
+
+def test_stacked_eigenvalues_reject_non_finite():
+    stack = np.array([np.eye(2), [[1.0, 0.0], [0.0, np.inf]]])
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        la.hermitian_eigenvalues(stack)
+
+
 # ------------------------------------------------------------------- psd
 
 def test_psd_identity():
@@ -348,7 +384,60 @@ def test_matrix_file_round_trip(tmp_path):
     {"dim": 2, "re": [0.0] * 3, "im": [0.0] * 4},      # wrong length
     {"dim": 2, "re": [0.0] * 4, "im": [float("nan")] * 4},
     [1, 2, 3],                                         # not an object
+    {"dim": 1, "re": {"a": 1}, "im": [0]},             # re not a list
+    {"dim": 1, "re": [1], "im": None},
+    {"dim": 1, "re": ["1"], "im": [0]},                # a string
+    {"dim": 1, "re": [True], "im": [0]},               # a boolean
+    {"dim": 2, "re": [1.0, 2.0, 3.0, False], "im": [0] * 4},
+    {"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [0] * 4},  # nested
+    {"dim": 1, "re": [[1.0]], "im": [0]},
+    {"dim": 1, "re": [10 ** 400], "im": [0]},          # beyond float range
+    {"dim": 1, "re": [None], "im": [0]},
 ])
 def test_matrix_json_rejects_malformed(payload):
     with pytest.raises(ValueError):
         la.matrix_from_json(payload)
+
+
+def test_matrix_json_accepts_integers():
+    m = la.matrix_from_json({"dim": 2, "re": [1, 0, 0.5, -2],
+                             "im": [0, 3, -3.0, 0]})
+    assert np.array_equal(m, [[1, 3j], [0.5 - 3j, -2]])
+
+
+def test_load_matrix_refuses_deep_nesting(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    with pytest.raises(ValueError, match="nests too deeply"):
+        la.load_matrix(path)
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e-300,
+                            1.0, -3.0, 2.0 ** 60, 0.1])
+_ENTRY = st.floats(allow_nan=False, allow_infinity=False) | _SPECIAL
+_JSON_LEAF = (st.none() | st.booleans() | st.integers() | st.text()
+              | st.floats(allow_nan=False) | _SPECIAL)
+_PROVENANCE = st.recursive(
+    _JSON_LEAF, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=12)
+
+
+@settings(deadline=None, max_examples=120)
+@given(data=st.data(), dim=st.integers(1, 4),
+       provenance=st.none() | st.dictionaries(st.text(max_size=5),
+                                              _PROVENANCE, max_size=4))
+def test_save_matrix_writes_what_json_dump_writes(tmp_path_factory, data,
+                                                  dim, provenance):
+    entries = data.draw(st.lists(_ENTRY, min_size=2 * dim * dim,
+                                 max_size=2 * dim * dim))
+    m = (np.array(entries[:dim * dim])
+         + 1j * np.array(entries[dim * dim:])).reshape(dim, dim)
+    path = tmp_path_factory.mktemp("save") / "m.json"
+    la.save_matrix(path, m, provenance)
+    doc = {"dim": dim, "re": [float(x) for x in m.real.ravel()],
+           "im": [float(x) for x in m.imag.ravel()]}
+    if provenance is not None:
+        doc["provenance"] = provenance
+    assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+    assert np.array_equal(la.load_matrix(path), m)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from witnesslab import linalg as la
 from witnesslab import states as ws
@@ -255,6 +257,56 @@ def test_qubit_qw_rejects_invalid_params():
         w.QubitQWParams(1.0, 1.0, (0, 0, 1.5), (1, 0, 0))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("alpha, beta, u, v", [
+    (NAN, 1.0, (0, 0, 1), (1, 0, 0)),
+    (1.0, NAN, (0, 0, 1), (1, 0, 0)),
+    (INF, 1.0, (0, 0, 1), (1, 0, 0)),
+    (1.0, INF, (0, 0, 1), (1, 0, 0)),
+    (-INF, 1.0, (0, 0, 1), (1, 0, 0)),
+    (1.0, 1.0, (NAN, 0, 0), (1, 0, 0)),
+    (1.0, 1.0, (0, 0, 1), (0, NAN, 0)),
+    (1.0, 1.0, (INF, 0, 0), (1, 0, 0)),
+])
+def test_qubit_qw_rejects_non_finite_params(alpha, beta, u, v):
+    with pytest.raises(ValueError):
+        w.QubitQWParams(alpha, beta, u, v)
+    with pytest.raises(ValueError):
+        w.qubit_qw_stack([1.0, alpha], [1.0, beta], [(0, 0, 1), u],
+                         [(1, 0, 0), v])
+
+
+def _qubit_qw_reference(p):
+    """The per-matrix construction the stacked builder replaced."""
+    def bloch(vec):
+        return sum(c * m for c, m in zip(vec, w.PAULI))
+
+    eye = np.eye(2)
+    x = 0.5 * p.alpha * (eye + bloch(p.u))
+    y = 0.5 * p.beta * (eye + bloch(p.v))
+    return x, y, la.anticommutator(x, y)
+
+
+_UNIT = st.floats(-1.0, 1.0).filter(lambda c: c != 0.0) | st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 0.5, 5e-324])
+
+
+@settings(deadline=None, max_examples=60)
+@given(alpha=st.floats(1e-3, 1e3), beta=st.floats(1e-3, 1e3),
+       u=st.tuples(_UNIT, _UNIT, _UNIT), v=st.tuples(_UNIT, _UNIT, _UNIT))
+def test_qubit_qw_matches_per_matrix_reference(alpha, beta, u, v):
+    u = np.array(u) / max(1.0, float(np.linalg.norm(u)))
+    v = np.array(v) / max(1.0, float(np.linalg.norm(v)))
+    p = w.QubitQWParams(alpha, beta, u, v)
+    got = w.qubit_qw(p)[:3]
+    stacked = w.qubit_qw_stack([alpha] * 3, [beta] * 3, [u] * 3, [v] * 3)
+    for want, one, many in zip(_qubit_qw_reference(p), got, stacked):
+        assert one.tobytes() == want.tobytes()
+        assert all(m.tobytes() == want.tobytes() for m in many)
+
+
 # -------------------------------------------------------------- condition
 
 def test_condition_right_angle_unit_lengths():
@@ -356,10 +408,67 @@ def test_shifted_swap_qutrit():
     assert ok_x and ok_y
 
 
-@pytest.mark.parametrize("xi", [0.0, 1.0, -0.2, 1.7])
+@pytest.mark.parametrize("xi", [0.0, 1.0, -0.2, 1.7, NAN, INF])
 def test_shifted_swap_rejects_boundary_xi(xi):
     with pytest.raises(ValueError):
         w.ShiftedSwapParams(xi=xi, phi=0.0, d=2)
+    with pytest.raises(ValueError, match="xi"):
+        w.shifted_swap_stack([0.5, xi], 0.0, 2)
+
+
+@pytest.mark.parametrize("phi", [NAN, INF, -INF])
+def test_shifted_swap_rejects_non_finite_phase(phi):
+    with pytest.raises(ValueError, match="phi"):
+        w.ShiftedSwapParams(xi=0.5, phi=phi, d=2)
+    with pytest.raises(ValueError, match="phi"):
+        w.shifted_swap_stack([0.5], phi, 2)
+
+
+def _shifted_swap_reference(p):
+    """The per-sector loop of outer products the stacked builder replaced."""
+    d, xi, phi = p.d, p.xi, p.phi
+    n = d * d
+    x = np.zeros((n, n), dtype=complex)
+    y = np.zeros((n, n), dtype=complex)
+    for i in range(d):
+        x[i * d + i, i * d + i] = y[i * d + i, i * d + i] = \
+            math.sqrt((1.0 + xi) / 2.0)
+    scale = 1.0 / (2.0 * math.sqrt(xi))
+    off = math.sqrt(1.0 - xi * xi)
+    for i in range(d):
+        for j in range(i + 1, d):
+            lam_p = np.zeros(n, dtype=complex)
+            lam_m = np.zeros(n, dtype=complex)
+            lam_p[i * d + j] = lam_p[j * d + i] = 1.0 / math.sqrt(2.0)
+            lam_m[i * d + j] = 1.0 / math.sqrt(2.0)
+            lam_m[j * d + i] = -1.0 / math.sqrt(2.0)
+            diag = ((1.0 + xi) * np.outer(lam_p, lam_p.conj())
+                    + (1.0 - xi) * np.outer(lam_m, lam_m.conj()))
+            cross = off * (np.exp(-1j * phi) * np.outer(lam_p, lam_m.conj())
+                           + np.exp(1j * phi) * np.outer(lam_m, lam_p.conj()))
+            x += scale * (diag + cross)
+            y += scale * (diag - cross)
+    shifted = xi * np.eye(n) + w.swap_operator(d)
+    return x, y, la.frobenius(la.anticommutator(x, y) - shifted)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("phi", [0.0, 0.7, -2.0, 3.1, -1e-17, 2 * math.pi])
+def test_shifted_swap_matches_per_sector_reference(d, phi):
+    xis = np.linspace(0.0, 1.0, 9)[1:-1]
+    x, y, shifted, residual = w.shifted_swap_stack(xis, phi, d)
+    for k, xi in enumerate(xis):
+        p = w.ShiftedSwapParams(xi=xi, phi=phi, d=d)
+        want = _shifted_swap_reference(p)
+        got = w.shifted_swap_factors(p)
+        assert [m.tobytes() for m in got[:2]] == \
+            [m.tobytes() for m in want[:2]]
+        assert got[2] == want[2]
+        assert x[k].tobytes() == want[0].tobytes()
+        assert y[k].tobytes() == want[1].tobytes()
+        assert residual[k] == want[2]
+        assert shifted[k].tobytes() == (
+            xi * np.eye(d * d) + w.swap_operator(d)).tobytes()
 
 
 def test_shifted_swap_random_parameters():
