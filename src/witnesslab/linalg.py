@@ -186,7 +186,8 @@ def matrix_from_json(obj) -> np.ndarray:
     """The matrix of a matrix JSON object, as ``json.load`` returns it.
 
     ``re`` and ``im`` must be flat lists of JSON numbers (int or float;
-    booleans, strings and nested values are refused).
+    booleans, strings and nested values are refused), and the matrix must
+    have a finite Frobenius norm: every later cutoff scales by it.
     """
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
@@ -206,7 +207,13 @@ def matrix_from_json(obj) -> np.ndarray:
         re, im = (np.array(p, dtype=float) for p in parts)
     except OverflowError:
         raise ValueError("matrix JSON entry too large for a float") from None
-    return as_matrix((re + 1j * im).reshape(dim, dim))
+    m = as_matrix((re + 1j * im).reshape(dim, dim))
+    with np.errstate(over="ignore"):
+        norm = frobenius(m)
+    if not np.isfinite(norm):
+        raise ValueError("matrix JSON entries too large: the Frobenius "
+                         "norm overflows")
+    return m
 
 
 def save_matrix(path, m, provenance: dict | None = None) -> None:

@@ -8,10 +8,9 @@ linear expectation is minimized at a vertex.  Vertex values come from the
 operator's diagonal and eigenvalues from one stacked eigensolve per sector
 size; only a refuting vertex is built as a dense state.  The entanglement
 side has no exact decision procedure; the product-state minimum is
-estimated by see-saw alternation (an upper bound on the true minimum),
-with all restarts run as one stack of GEMMs and eigensolves.  At total
-dimension <= 6 every basin of a dense grid over the smaller factor (at
-most a qubit) is one more see-saw start.
+estimated by see-saw alternation from seeded random starts (an upper
+bound on the true minimum), with all restarts run as one stack of GEMMs
+and eigensolves.
 Reports always carry enough data to re-evaluate the verdict
 independently; their JSON is their dataclass fields in declaration order.
 """
@@ -39,7 +38,6 @@ DEFAULT_RESTARTS = 32
 DEFAULT_SEED = 42
 SEESAW_CONVERGENCE = 1e-12
 SEESAW_MAX_ITERS = 500
-GRID_ORACLE_MAX_DIM = 6
 # The noncommutative theorem-1 search takes a pair only when {X, Y} has an
 # eigenvalue this far below zero, clear of rounding.
 THEOREM1_SEARCH_MARGIN = 1e-8
@@ -181,54 +179,6 @@ def _seesaw(e4, a, b):
     return value, a, b
 
 
-def _bloch_grid() -> np.ndarray:
-    """Qubit pure states (cos(t/2), e^{i p} sin(t/2)) on a 5-degree grid,
-    theta-major: 37 thetas from pole to pole by 72 phis."""
-    thetas = np.deg2rad(np.arange(0.0, 185.0, 5.0))
-    phis = np.deg2rad(np.arange(0.0, 360.0, 5.0))
-    t, p = np.meshgrid(thetas, phis, indexing="ij")
-    grid = np.stack([np.cos(t / 2.0) + 0j,
-                     np.exp(1j * p) * np.sin(t / 2.0)], axis=-1)
-    return grid.reshape(-1, 2)
-
-
-BLOCH_GRID = _bloch_grid()
-BLOCH_GRID.flags.writeable = False
-
-
-def _grid_basins(floor, noise) -> np.ndarray:
-    """Indices of the Bloch-grid points to polish: the best point, and every
-    point more than ``noise`` below its 8 neighbours.  Phi wraps around;
-    each pole is one point, its phi = 0 copy, whose neighbours are the
-    whole adjacent ring."""
-    v = floor.reshape(37, 72)
-    padded = np.pad(v, 1, mode="wrap")
-    padded[[0, -1]] = np.inf
-    around = np.min([padded[1 + i:38 + i, 1 + j:73 + j] for i in (-1, 0, 1)
-                     for j in (-1, 0, 1) if i or j], axis=0)
-    around[0], around[-1] = v[1].min(), v[-2].min()
-    basins = v + noise < around
-    basins[[0, -1], 1:] = False
-    basins.flat[np.argmin(floor)] = True
-    return np.flatnonzero(basins)
-
-
-def _grid_starts(e4, noise):
-    """See-saw starts (a, b) from a dense grid over the smaller factor,
-    which total dimension <= GRID_ORACLE_MAX_DIM keeps at most a qubit.
-    That side sweeps the Bloch grid (one point if it is one-dimensional)
-    while the other is minimized exactly as a bottom eigenvector; every
-    grid basin (see ``_grid_basins``) is one start."""
-    d_a, d_b = e4.shape[:2]
-    e_a, e_b = _party_matrices(e4)
-    grid = BLOCH_GRID if min(d_a, d_b) == 2 else np.ones((1, 1), complex)
-    contracted = _local_operators(e_b if d_a <= d_b else e_a, grid)
-    floor = np.linalg.eigvalsh(contracted)[:, 0]
-    starts = _grid_basins(floor, noise) if floor.size > 1 else [0]
-    other = np.linalg.eigh(contracted[starts])[1][..., 0]
-    return (grid[starts], other) if d_a <= d_b else (other, grid[starts])
-
-
 def require_dims(d_a: int, d_b: int) -> None:
     if d_a < 1 or d_b < 1:
         raise ValueError(f"dims must be positive, got {d_a}x{d_b}")
@@ -242,15 +192,13 @@ def check_entanglement_witness(e, d_a: int, d_b: int,
     The separable minimum equals the pure-product minimum by convexity;
     it is estimated with ``restarts`` independent see-saw runs, stacked
     PROBE_BLOCK at a time (the first best start wins, so a fixed seed
-    reproduces the report exactly).  For total dimension <=
-    GRID_ORACLE_MAX_DIM the basins of a dense grid (``_grid_starts``) run
-    as one more stack, whose best wins only if it lies more than the noise
-    floor EXACT_TOL * max(1, ||E||_F) below the restarts' best.  Either
-    way a product state realises the value.  A nonnegative estimate only
-    upper-bounds the truth, so a confirmed verdict is flagged heuristic.
-    An estimate between -TOL and minus the noise floor is a real
-    sub-tolerance signal (swap and Bell sit exactly at zero) and is
-    reported as inconclusive.
+    reproduces the report exactly), and a product state realises the
+    value.  Too few restarts can miss the deepest basin at any size.  A
+    nonnegative estimate only upper-bounds the truth, so a confirmed
+    verdict is flagged heuristic.  An estimate between -TOL and minus the
+    noise floor EXACT_TOL * max(1, ||E||_F) is a real sub-tolerance
+    signal (swap and Bell sit exactly at zero) and is reported as
+    inconclusive.
     """
     require_dims(d_a, d_b)
     e = require_hermitian(e, "witness")
@@ -265,19 +213,12 @@ def check_entanglement_witness(e, d_a: int, d_b: int,
     noise = EXACT_TOL * max(1.0, frobenius(e))
     rng = np.random.default_rng(seed)
 
-    def stacks():
-        """(starts, margin) per stack: restart r draws a (real, then
-        imaginary), then b, and the grid basins come last."""
-        for count in _blocks(restarts):
-            yield random_unit_pairs(rng, count, d_a, d_b), 0.0
-        if d_a * d_b <= GRID_ORACLE_MAX_DIM:
-            yield _grid_starts(e4, noise), noise
-
+    # Restart r draws a (real, then imaginary), then b.
     best_value = math.inf
-    for starts, margin in stacks():
-        values, a, b = _seesaw(e4, *starts)
+    for count in _blocks(restarts):
+        values, a, b = _seesaw(e4, *random_unit_pairs(rng, count, d_a, d_b))
         r = int(np.argmin(values))
-        if values[r] < best_value - margin:
+        if values[r] < best_value:
             best_value = float(values[r])
             best_pair = (a[r], b[r])
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (EXACT_TOL, RESIDUAL_TOL, as_matrix, anticommutator,
+from .linalg import (EXACT_TOL, RESIDUAL_TOL, TOL, as_matrix, anticommutator,
                      frobenius, is_positive_semidefinite, tensor)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -323,8 +323,12 @@ def _shifted_swap_rows(xi, phi, swap):
     with np.errstate(over="ignore", invalid="ignore"):
         diff = (x @ y + y @ x - shifted).reshape(-1, n, n)
         residual = np.array([frobenius(m) for m in diff]).reshape(xi.shape)
-    if not np.isfinite(residual).all():
-        raise ValueError("{X, Y} overflows: xi is too small")
+    # Below xi ~ 1e-8 the 1/(2 sqrt(xi)) scale cancels away the precision
+    # of {X, Y}; the negation also refuses a residual that overflowed.
+    if not (residual <= TOL * np.maximum(
+            1.0, np.linalg.norm(shifted, axis=(-2, -1)))).all():
+        raise ValueError("{X, Y} misses xi*I + S by more than TOL: "
+                         "xi is too small")
     return x, y, shifted, residual
 
 

@@ -26,7 +26,8 @@ from witnesslab import verify
 from witnesslab.cli import main, parse_algebra, sector_basis_permutation
 from witnesslab.verify import check_entanglement_witness
 from witnesslab.witnesses import (QubitQWParams, ShiftedSwapParams, qubit_qw,
-                                  shifted_swap_factors, swap_operator)
+                                  shifted_swap_factors, shifted_swap_stack,
+                                  swap_operator)
 
 RT2 = math.sqrt(2.0)
 
@@ -86,6 +87,22 @@ def test_construct_shifted_swap_rejects_boundary(capsys):
                            "--xi", "1.0")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("xi", ["1e-320", "1e-20", "1e-12"])
+def test_construct_shifted_swap_refuses_lost_precision(xi, capsys):
+    # The 1/(2 sqrt(xi)) scale leaves {X, Y} far from xi*I + S here.
+    code, out, err = run_cli(capsys, "construct", "shifted-swap",
+                             "--xi", xi, "--d", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_shifted_swap_stack_holds_at_the_smallest_scan_shift(d):
+    xi = 1.0 / (cli.MAX_SCAN_ROWS + 1)
+    *_, residual = shifted_swap_stack(np.array([xi, 0.5]), d=d)
+    assert (residual <= la.TOL * d).all()
 
 
 def test_construct_bell_provenance(tmp_path, capsys):
@@ -614,6 +631,46 @@ def test_verify_fuzz_on_malformed_files(text, argv):
     _assert_clean_exit(code, err, caught)
     if code == 0:
         assert json.loads(out)["verdict"]
+
+
+_EXTREME = st.one_of(
+    st.floats(-1e308, 1e308),
+    st.builds(lambda sign, k: sign * 10.0 ** k, st.sampled_from([1, -1]),
+              st.integers(-323, 308)),
+    st.sampled_from([0.0, 1e308, -1e308, 1.3e154, 5e-324]))
+
+
+@settings(deadline=None, max_examples=120)
+@given(argv=st.sampled_from([(["qw", "--alg", "1"], 1),
+                             (["qw", "--alg", "1,1"], 2),
+                             (["qw", "--alg", "2;2"], 4),
+                             (["ew", "--dims", "2", "2", "--restarts", "2"], 4),
+                             (["both", "--dims", "1", "2", "--restarts", "2"],
+                              2)]),
+       hermitian=st.booleans(), data=st.data())
+def test_verify_fuzz_on_extreme_entries(argv, hermitian, data):
+    # Well-formed files whose entries run up to +-1e308: the checks refuse
+    # what they cannot scale (exit 2) or finish without a warning.
+    argv, dim = argv
+    entries = st.lists(_EXTREME, min_size=dim * dim, max_size=dim * dim)
+    re = np.array(data.draw(entries)).reshape(dim, dim)
+    im = np.array(data.draw(entries)).reshape(dim, dim)
+    if hermitian:
+        lower = np.tril_indices(dim, -1)
+        re[lower] = re.T[lower]
+        im[lower] = -im.T[lower]
+        np.fill_diagonal(im, 0.0)
+    doc = {"dim": dim, "re": re.ravel().tolist(), "im": im.ravel().tolist()}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code, out, err, caught = _run_quiet(["verify", *argv, "--in", path])
+    _assert_clean_exit(code, err, caught)
+    if code == 0:
+        doc = json.loads(out)
+        reports = doc.values() if argv[0] == "both" else [doc]
+        assert all(report["verdict"] for report in reports)
 
 
 def test_verify_malformed_entries_exit_2(tmp_path, capsys):

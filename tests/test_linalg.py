@@ -393,6 +393,9 @@ def test_matrix_file_round_trip(tmp_path):
     {"dim": 1, "re": [[1.0]], "im": [0]},
     {"dim": 1, "re": [10 ** 400], "im": [0]},          # beyond float range
     {"dim": 1, "re": [None], "im": [0]},
+    {"dim": 4, "re": np.diag([1e300] * 4).ravel().tolist(),
+     "im": [0] * 16},                                  # ||M||_F overflows
+    {"dim": 1, "re": [1e200], "im": [1e200]},
 ])
 def test_matrix_json_rejects_malformed(payload):
     with pytest.raises(ValueError):
@@ -440,4 +443,11 @@ def test_save_matrix_writes_what_json_dump_writes(tmp_path_factory, data,
     if provenance is not None:
         doc["provenance"] = provenance
     assert path.read_text() == json.dumps(doc, indent=2) + "\n"
-    assert np.array_equal(la.load_matrix(path), m)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(m)
+    if np.isfinite(norm):
+        assert np.array_equal(la.load_matrix(path), m)
+    else:
+        # Reading refuses what no cutoff can scale by.
+        with pytest.raises(ValueError, match="Frobenius norm overflows"):
+            la.load_matrix(path)
