@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -572,6 +573,83 @@ def test_ew_keeps_the_seed_stream(seed, minimum):
             <= 1e-12 * max(1.0, la.frobenius(e)))
 
 
+def _degenerate_cases():
+    cases = []
+    dims = ((1, 1), (1, 4), (4, 1), (2, 2), (2, 3), (3, 2), (4, 4))
+    for d_a, d_b in dims:
+        n = d_a * d_b
+        a = random_hermitian(d_a, n)
+        b = random_hermitian(d_b, n + 1)
+        cases += [(f"zero-{d_a}x{d_b}", np.zeros((n, n)), d_a, d_b),
+                  (f"1xB-{d_a}x{d_b}", np.kron(np.eye(d_a), b), d_a, d_b),
+                  (f"Ax1-{d_a}x{d_b}", np.kron(a, np.eye(d_b)), d_a, d_b),
+                  (f"AxB-{d_a}x{d_b}", np.kron(a, b), d_a, d_b)]
+    return pytest.mark.parametrize("e,d_a,d_b", [c[1:] for c in cases],
+                                   ids=[c[0] for c in cases])
+
+
+@_degenerate_cases()
+@pytest.mark.parametrize("restarts", [1, 4, 32])
+def test_ew_degenerate_inputs_match_the_sweeps(e, d_a, d_b, restarts):
+    # E = 0, a party's identity, a product operator, a scalar party: the
+    # finish must not warn or fail where its Hessian is singular or empty.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_matches_per_restart(e, d_a, d_b, restarts, 42)
+
+
+def test_ew_refuses_an_overflowing_norm():
+    for e in (1e300 * np.eye(4), np.full((4, 4), 1e308)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="norm overflows"):
+                check_entanglement_witness(e, 2, 2)
+
+
+def test_ew_refuses_values_that_are_not_finite(monkeypatch):
+    def nan_values(e4, a, b):
+        return np.full(len(a), np.nan), a, b
+
+    monkeypatch.setattr(verify, "_seesaw", nan_values)
+    with pytest.raises(ValueError, match="not finite"):
+        check_entanglement_witness(swap_operator(2), 2, 2)
+
+
+def test_ew_choi_starts_finish_within_the_budget(monkeypatch):
+    # Each pass of the see-saw loop, a sweep or a Newton step, calls
+    # _local_operators at least twice, so at most 2 * SEESAW_MAX_ITERS
+    # calls (one goes to the first evaluation) mean that no start used up
+    # its budget.  With sweeps alone 8 of these 32 starts did.
+    calls = []
+    local_operators = verify._local_operators
+
+    def counting(e_x, v):
+        calls.append(len(v))
+        return local_operators(e_x, v)
+
+    monkeypatch.setattr(verify, "_local_operators", counting)
+    report = check_entanglement_witness(choi_witness(), 3, 3, 32, 42)
+    assert (report.verdict, report.heuristic) == ("confirmed", True)
+    assert len(calls) <= 2 * verify.SEESAW_MAX_ITERS
+
+
+@settings(deadline=None, max_examples=40)
+@given(d_a=st.integers(1, 4), d_b=st.integers(1, 4),
+       count=st.integers(1, 8), seed=st.integers(0, 2**31))
+def test_seesaw_returns_unit_pairs_at_their_values(d_a, d_b, count, seed):
+    e = random_hermitian(d_a * d_b, seed)
+    e4 = e.reshape(d_a, d_b, d_a, d_b)
+    starts = ws.random_unit_pairs(np.random.default_rng(seed), count, d_a,
+                                  d_b)
+    values, a, b = verify._seesaw(e4, *starts)
+    scale = la.frobenius(e)
+    for v in (a, b):
+        assert np.allclose(np.linalg.norm(v, axis=1), 1.0, rtol=0.0,
+                           atol=la.EXACT_TOL)
+    for value, a_r, b_r in zip(values, a, b):
+        assert abs(_product_value(e4, a_r, b_r) - value) <= 1e-12 * scale
+
+
 @pytest.mark.parametrize("name,d_a,d_b,minimum", [
     ("ew_two_basins_2x2.json", 2, 2, -2.6210030876),
     ("ew_two_basins_2x3.json", 2, 3, -3.0508594885),
@@ -678,6 +756,20 @@ def test_ew_metamorphic(e, d_a, d_b, transform):
     assert after.verdict == before.verdict
     assert (abs(after.min_product_expectation - minimum)
             <= 1e-9 * max(1.0, la.frobenius(e)))
+
+
+@_metamorphic_cases()
+@pytest.mark.parametrize("k", [-20, -3, 5, 20])
+def test_ew_invariant_under_power_of_two_scaling(e, d_a, d_b, k):
+    # Every see-saw rule scales with ||E||_F and scaling by 2^k is exact,
+    # so the minimum scales bit for bit (measured: 0 difference); with
+    # absolute rules 2^-20 moved it by up to 4.4e-7 * max(1, ||E||_F).
+    before = check_entanglement_witness(e, d_a, d_b)
+    after = check_entanglement_witness(2.0**k * e, d_a, d_b)
+    assert after.verdict == before.verdict
+    assert (abs(after.min_product_expectation / 2.0**k
+                - before.min_product_expectation)
+            <= 1e-14 * max(1.0, la.frobenius(e)))
 
 
 # ------------------------------------------------------------ implication
