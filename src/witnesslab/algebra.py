@@ -13,11 +13,12 @@ first factor, the B blocks of the second.  Sector (k, l) therefore lives
 on the index grid (range of block k) x (range of block l), which is not
 contiguous in general.  ``block_layout`` reports the canonical contiguous
 ordering (k-major, then l) and ``embedding_permutation`` maps it onto the
-interleaved physical indices.  ``sector_labels`` gives each physical index
-its sector's layout position and is the one sector index: the embedding is
-its stable argsort, ``sector_indices`` splits that embedding per sector, and
-sector support and classical states read the labels directly.  The vertices
-are kept as diagonals and built densely only when indexed.
+interleaved physical indices.  ``BipartiteAlgebra.sector_index`` is the
+one sector index, built on first use and kept: each physical index's
+sector (``sector_labels``), their stable argsort (the embedding) and the
+sector sizes; ``sector_indices`` splits the embedding per sector, and
+everything else reads the index.  The vertices are kept as diagonals and
+built densely only when indexed.
 """
 
 from __future__ import annotations
@@ -49,6 +50,19 @@ class BipartiteAlgebra:
             if any(n < 1 for n in blocks):
                 raise ValueError(f"{name} must contain positive integers")
             object.__setattr__(self, name, blocks)
+
+    @functools.cached_property
+    def sector_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (labels, order, sizes), built on first use: each
+        full-space index's ``block_layout`` position, their stable argsort
+        and the sector sizes."""
+        k = np.repeat(np.arange(len(self.blocks_a)), self.blocks_a)
+        l = np.repeat(np.arange(len(self.blocks_b)), self.blocks_b)
+        labels = (k[:, None] * len(self.blocks_b) + l[None, :]).ravel()
+        index = labels, np.argsort(labels, kind="stable"), np.bincount(labels)
+        for array in index:
+            array.flags.writeable = False
+        return index
 
     @property
     def dim_a(self) -> int:
@@ -103,21 +117,19 @@ def block_layout(alg: BipartiteAlgebra) -> list[tuple[int, int, int, int]]:
 
 def sector_labels(alg: BipartiteAlgebra) -> np.ndarray:
     """The ``block_layout`` position of each full-space index's sector."""
-    k = np.repeat(np.arange(len(alg.blocks_a)), alg.blocks_a)
-    l = np.repeat(np.arange(len(alg.blocks_b)), alg.blocks_b)
-    return (k[:, None] * len(alg.blocks_b) + l[None, :]).ravel()
+    return alg.sector_index[0]
 
 
 def embedding_permutation(alg: BipartiteAlgebra) -> np.ndarray:
     """Permutation p with p[canonical position] = physical index."""
-    return np.argsort(sector_labels(alg), kind="stable")
+    return alg.sector_index[1]
 
 
 def sector_indices(alg: BipartiteAlgebra) -> list[np.ndarray]:
     """Full-space indices of each sector, in ``block_layout`` order and
     ascending (row-major) within the sector."""
-    bounds = np.cumsum(np.bincount(sector_labels(alg)))[:-1]
-    return np.split(embedding_permutation(alg), bounds)
+    _, order, sizes = alg.sector_index
+    return np.split(order, np.cumsum(sizes)[:-1])
 
 
 def in_algebra(m, alg: BipartiteAlgebra) -> bool:
@@ -127,7 +139,7 @@ def in_algebra(m, alg: BipartiteAlgebra) -> bool:
         raise ValueError(
             f"dimension {m.shape[0]} does not match algebra "
             f"dimension {alg.total_dim}")
-    label = sector_labels(alg)
+    label = alg.sector_index[0]
     off = np.abs(m[label[:, None] != label[None, :]])
     cutoff = TOL * max(1.0, frobenius(m))
     return off.size == 0 or float(off.max()) <= cutoff
@@ -176,10 +188,10 @@ def classical_state(alg: BipartiteAlgebra, weights) -> np.ndarray:
         raise ValueError("classical-state weights must be nonnegative")
     if not (abs(p.sum(axis=(-2, -1)) - 1.0) <= EXACT_TOL).all():
         raise ValueError("classical-state weights must sum to 1")
-    n, label = alg.total_dim, sector_labels(alg)
+    n, (label, _, sizes) = alg.total_dim, alg.sector_index
     rho = np.zeros(p.shape[:-2] + (n, n), dtype=complex)
     flat = p.reshape(p.shape[:-2] + (-1,))       # weights in layout order
-    rho[..., range(n), range(n)] = flat[..., label] / np.bincount(label)[label]
+    rho[..., range(n), range(n)] = flat[..., label] / sizes[label]
     return rho
 
 
@@ -199,8 +211,7 @@ class ClassicalVertices(Sequence):
 
 def classical_state_vertices(alg: BipartiteAlgebra) -> ClassicalVertices:
     """Extreme points of the classical-state simplex, one per sector."""
-    label = sector_labels(alg)
-    sizes = np.bincount(label)
+    label, _, sizes = alg.sector_index
     diagonals = np.zeros((sizes.size, alg.total_dim))
     diagonals[label, np.arange(alg.total_dim)] = 1.0 / sizes[label]
     return ClassicalVertices(diagonals)

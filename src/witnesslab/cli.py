@@ -19,7 +19,6 @@ variable and the --seed flag, in that order of precedence.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -31,7 +30,8 @@ import numpy as np
 from . import __version__
 from .algebra import BipartiteAlgebra, full_algebra
 from .linalg import (hermitian_eigensystem, hermitian_eigenvalues,
-                     load_matrix, matrix_to_json, save_matrix, tensor)
+                     json_text, load_matrix, matrix_to_json, save_matrix,
+                     tensor)
 from .states import KET_MINUS, KET_PLUS
 from .verify import (DEFAULT_RESTARTS, DEFAULT_SEED,
                      check_entanglement_witness, check_quantumness_witness,
@@ -195,16 +195,17 @@ _SCAN_HEADERS = {
 
 
 def _write_csv(out_path, header, rows):
-    def emit(fh):
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)      # a float as its repr, None as ""
-
+    """Write the rows, tuples of floats and None, as ``csv.writer`` writes
+    them: a float as its repr, None as "", lines ended by \\r\\n."""
+    line = ",".join(["%r"] * len(header)) + "\r\n"
+    # No float's repr holds "None".
+    text = (",".join(header) + "\r\n"
+            + "".join([line % row for row in rows]).replace("None", ""))
     if out_path is None:
-        emit(sys.stdout)
+        sys.stdout.write(text)
     else:
         with open(out_path, "w", newline="") as fh:
-            emit(fh)
+            fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -225,23 +226,14 @@ def _emit_operators(operators: dict, provenance: dict, out_path):
     if out_path is None:
         doc = {name: matrix_to_json(m) for name, m in operators.items()}
         doc["provenance"] = provenance
-        print(json.dumps(doc, indent=2))
+        print(json_text(doc))
         return
-    if len(operators) == 1:
-        (name, m), = operators.items()
-        save_matrix(out_path, m, provenance)
-        written = [str(out_path)]
-    else:
-        stem = str(out_path)
-        if stem.endswith(".json"):
-            stem = stem[:-len(".json")]
-        written = []
-        for name, m in operators.items():
-            path = f"{stem}.{name}.json"
-            save_matrix(path, m, provenance)
-            written.append(path)
-    print(json.dumps({"written": written, "provenance": provenance},
-                     indent=2))
+    stem = str(out_path).removesuffix(".json")
+    written = [str(out_path)] if len(operators) == 1 else [
+        f"{stem}.{name}.json" for name in operators]
+    for path, m in zip(written, operators.values()):
+        save_matrix(path, m, provenance)
+    print(json_text({"written": written, "provenance": provenance}))
 
 
 def cmd_construct(args) -> int:
@@ -252,12 +244,9 @@ def cmd_construct(args) -> int:
         basis = "sector" if args.paper_basis else "lexicographic"
         if args.paper_basis:
             s = to_sector_basis(s, args.d)
-        _emit_operators(
-            {"Q": s},
-            {"kind": "swap", "params": {"d": args.d, "basis": basis}},
-            args.out)
-        return 0
-    if kind == "bell":
+        operators = {"Q": s}
+        provenance = {"kind": "swap", "params": {"d": args.d, "basis": basis}}
+    elif kind == "bell":
         sign = _sign_value(args.sign)
         settings = standard_bell_settings(sign)
         e = bell_chsh(settings)
@@ -268,13 +257,10 @@ def cmd_construct(args) -> int:
         residual = float(np.linalg.norm(
             swap_operator(2) - (proj + sign * (e - 2.0 * np.eye(4))
                                 / (2.0 * math.sqrt(2.0)))))
-        _emit_operators(
-            {"Q": e},
-            {"kind": "bell", "params": {"sign": args.sign},
-             "s_bell_residual": residual},
-            args.out)
-        return 0
-    if kind in ("avr-asym", "avr-sym"):
+        operators = {"Q": e}
+        provenance = {"kind": "bell", "params": {"sign": args.sign},
+                      "s_bell_residual": residual}
+    elif kind in ("avr-asym", "avr-sym"):
         sign = _sign_value(args.sign)
         settings = standard_bell_settings(sign)
         if kind == "avr-asym":
@@ -289,34 +275,28 @@ def cmd_construct(args) -> int:
             target = 4.0 * bell_chsh(settings)
         residual = float(np.linalg.norm(q - target))
         spectrum = [float(v) for v in hermitian_eigensystem(q).eigenvalues]
-        _emit_operators(
-            {"X": x, "Y": y, "Q": q},
-            {"kind": kind, "params": {"sign": args.sign},
-             "identity_residual": residual,
-             "spectrum": spectrum},
-            args.out)
-        return 0
-    if kind == "qubit-qw":
+        operators = {"X": x, "Y": y, "Q": q}
+        provenance = {"kind": kind, "params": {"sign": args.sign},
+                      "identity_residual": residual, "spectrum": spectrum}
+    elif kind == "qubit-qw":
         params = QubitQWParams(args.alpha, args.beta,
                                parse_vec3(args.u), parse_vec3(args.v))
         x, y, q, lam_plus, lam_minus = qubit_qw(params)
-        _emit_operators(
-            {"X": x, "Y": y, "Q": q},
-            {"kind": "qubit-qw",
-             "params": {"alpha": params.alpha, "beta": params.beta,
-                        "u": list(params.u), "v": list(params.v)},
-             "lambda_plus": lam_plus, "lambda_minus": lam_minus},
-            args.out)
-        return 0
-    params = ShiftedSwapParams(xi=args.xi, phi=args.phi, d=args.d)
-    x, y, residual = shifted_swap_factors(params)
-    shifted = params.xi * np.eye(params.d ** 2) + swap_operator(params.d)
-    _emit_operators(
-        {"X": x, "Y": y, "Q": shifted},
-        {"kind": "shifted-swap",
-         "params": {"d": params.d, "xi": params.xi, "phi": params.phi},
-         "factorization_residual": float(residual)},
-        args.out)
+        operators = {"X": x, "Y": y, "Q": q}
+        provenance = {"kind": "qubit-qw",
+                      "params": {"alpha": params.alpha, "beta": params.beta,
+                                 "u": list(params.u), "v": list(params.v)},
+                      "lambda_plus": lam_plus, "lambda_minus": lam_minus}
+    else:
+        params = ShiftedSwapParams(xi=args.xi, phi=args.phi, d=args.d)
+        x, y, residual = shifted_swap_factors(params)
+        operators = {"X": x, "Y": y, "Q": params.xi * np.eye(params.d ** 2)
+                     + swap_operator(params.d)}
+        provenance = {"kind": "shifted-swap",
+                      "params": {"d": params.d, "xi": params.xi,
+                                 "phi": params.phi},
+                      "factorization_residual": float(residual)}
+    _emit_operators(operators, provenance, args.out)
     return 0
 
 
@@ -332,20 +312,17 @@ def cmd_verify(args) -> int:
             alg = full_algebra(*args.dims)
         else:
             raise ValueError("verify qw needs --alg or --dims")
-        report = check_quantumness_witness(op, alg)
-        print(json.dumps(report.to_json(), indent=2))
-        return 0
-    if args.dims is None:
+        doc = check_quantumness_witness(op, alg).to_json()
+    elif args.dims is None:
         raise ValueError(f"verify {mode} needs --dims A B")
-    d_a, d_b = args.dims
-    if mode == "ew":
-        report = check_entanglement_witness(
-            op, d_a, d_b, restarts=args.restarts, seed=args.seed)
-        print(json.dumps(report.to_json(), indent=2))
-        return 0
-    ew, qw = ew_implies_qw(op, d_a, d_b,
-                           restarts=args.restarts, seed=args.seed)
-    print(json.dumps({"ew": ew.to_json(), "qw": qw.to_json()}, indent=2))
+    elif mode == "ew":
+        doc = check_entanglement_witness(
+            op, *args.dims, restarts=args.restarts, seed=args.seed).to_json()
+    else:
+        ew, qw = ew_implies_qw(op, *args.dims,
+                               restarts=args.restarts, seed=args.seed)
+        doc = {"ew": ew.to_json(), "qw": qw.to_json()}
+    print(json_text(doc))
     return 0
 
 
@@ -378,7 +355,7 @@ def cmd_probe(args) -> int:
         report = theorem1_probe(alg, args.trials, seed=args.seed)
     else:
         report = classical_lemma_test(alg, args.trials, seed=args.seed)
-    print(json.dumps(report.to_json(), indent=2))
+    print(json_text(report.to_json()))
     return 0 if report.passed else 1
 
 

@@ -16,6 +16,7 @@ with exactly those field names.
 from __future__ import annotations
 
 import json
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -216,23 +217,40 @@ def matrix_from_json(obj) -> np.ndarray:
     return m
 
 
-def save_matrix(path, m, provenance: dict | None = None) -> None:
-    """Write a matrix (plus an optional provenance block) to ``path``.
-
-    The text is what ``json.dump(doc, fh, indent=2)`` and a newline would
-    write.  json's indenting encoder runs in pure Python, so the two float
-    lists are joined here and only the provenance goes through ``json``.
+def json_text(doc, indent: str = "") -> str:
+    """``json.dumps(doc, indent=2)``, nested at ``indent``.  json indents in
+    pure Python, so numbers, literals, string-keyed dicts and the lists of
+    floats that hold matrix entries are written here, as json writes them.
     """
+    inner = indent + "  "
+    kind = type(doc)
+    if kind is int or kind is float and math.isfinite(doc):
+        return repr(doc)
+    if kind is bool or doc is None:
+        return {True: "true", False: "false", None: "null"}[doc]
+    if kind is dict and doc and all(type(k) is str for k in doc):
+        items = (",\n" + inner).join(f"{json.dumps(k)}: {json_text(v, inner)}"
+                                     for k, v in doc.items())
+        return "{\n" + inner + items + "\n" + indent + "}"
+    if kind is list and doc:
+        try:
+            numbers = (",\n" + inner).join(map(float.__repr__, doc))
+        except TypeError:                    # an item that is no float
+            pass
+        else:
+            if "n" not in numbers:   # json spells inf and nan its own way
+                return "[\n" + inner + numbers + "\n" + indent + "]"
+    return json.dumps(doc, indent=2).replace("\n", "\n" + indent)
+
+
+def save_matrix(path, m, provenance: dict | None = None) -> None:
+    """Write a matrix (plus an optional provenance block) to ``path``, as
+    ``json.dump(doc, fh, indent=2)`` and a newline would write it."""
     doc = matrix_to_json(m)
-    fields = [f'"dim": {doc["dim"]}']
-    for key in ("re", "im"):
-        numbers = ",\n    ".join(map(float.__repr__, doc[key]))
-        fields.append(f'"{key}": [\n    {numbers}\n  ]')
     if provenance is not None:
-        fields.append('"provenance": ' + json.dumps(
-            provenance, indent=2).replace("\n", "\n  "))
+        doc["provenance"] = provenance
     with open(path, "w") as fh:
-        fh.write("{\n  " + ",\n  ".join(fields) + "\n}\n")
+        fh.write(json_text(doc) + "\n")
 
 
 def load_matrix(path) -> np.ndarray:

@@ -27,10 +27,9 @@ import numpy as np
 # _random_block_raw is unused here but stays a module attribute: the
 # benchmark's layer timing patches verify._random_block_raw.
 from .algebra import (BipartiteAlgebra, classical_state,
-                      classical_state_vertices, embedding_permutation,
-                      full_algebra, require_in_algebra, sector_indices,
-                      sector_labels, _blocks_from_draws, _draw_slots,
-                      _random_block_raw, _random_element)
+                      classical_state_vertices, full_algebra,
+                      require_in_algebra, sector_indices, _blocks_from_draws,
+                      _draw_slots, _random_block_raw, _random_element)
 from .linalg import (EXACT_TOL, RESIDUAL_TOL, TOL, anticommutator, frobenius,
                      hermitian_part, matrix_to_json, require_hermitian)
 from .states import pure_state, random_unit_pairs
@@ -103,12 +102,11 @@ def check_quantumness_witness(q, alg: BipartiteAlgebra) -> WitnessReport:
 
     # One stacked eigensolve per sector size; `lowest` holds each sector's
     # bottom eigenvector on that sector's own indices.
-    label, order = sector_labels(alg), embedding_permutation(alg)
-    sizes = np.bincount(label)
+    labels, order, sizes = alg.sector_index
     sector_min = np.empty(sizes.size)
     lowest = np.empty(alg.total_dim, dtype=complex)
     for size in sorted(set(sizes.tolist())):   # np.unique maps ~0.4 MB more
-        idx = order[sizes[label[order]] == size].reshape(-1, size)
+        idx = order[np.repeat(sizes, sizes) == size].reshape(-1, size)
         w, v = np.linalg.eigh(hermitian_part(q[idx[:, :, None],
                                                  idx[:, None, :]]))
         sector_min[sizes == size] = w[:, 0]
@@ -120,7 +118,16 @@ def check_quantumness_witness(q, alg: BipartiteAlgebra) -> WitnessReport:
     classical_ok = min_classical >= -TOL
     verdict = "confirmed" if classical_ok and min_eig < -TOL else "refuted"
     if classical_ok:
-        certificate = pure_state(np.where(label == best, lowest, 0))
+        # pure_state(v) bit for bit, signed zeros included: only the rows
+        # and columns on the sector hold more than products of zeros, and
+        # the rows go last, full length as np.outer computes them.
+        idx = np.flatnonzero(labels == best)
+        v = np.zeros_like(lowest)
+        v[idx] = lowest[idx]
+        norm_sq = float(np.vdot(v, v).real)
+        certificate = np.zeros((v.size, v.size), dtype=complex)
+        certificate[:, idx] = np.outer(v, v[idx].conj()) / norm_sq
+        certificate[idx] = np.outer(v[idx], v.conj()) / norm_sq
         vertex = None
     else:
         certificate = vertices[worst_vertex]
@@ -266,15 +273,29 @@ def _seesaw(e4, a, b):
     stop = SEESAW_CONVERGENCE * scale
     # No start switches where one party is a scalar: a sweep is exact.
     base = math.sqrt(SEESAW_CONVERGENCE) * scale * (min(d_a, d_b) > 1)
+    moved = np.full_like(value, np.inf)
+
+    def sweep(rows):
+        a[rows] = np.linalg.eigh(_local_operators(e_a, b[rows]))[1][..., 0]
+        w, vecs = np.linalg.eigh(_local_operators(e_b, a[rows]))
+        b[rows] = vecs[..., 0]
+        moved[rows] = abs(w[:, 0] - value[rows])
+        value[rows] = w[:, 0]
+
+    # Plain sweeps until an active start switches: until then every active
+    # start has swept `passes` times, and none is finishing or held.
+    active, passes = np.arange(len(a)), 0
+    while active.size and not (moved[active] < base).any():
+        passes += 1
+        sweep(active)
+        active = active[(moved[active] >= stop) & (passes < SEESAW_MAX_ITERS)]
+    finish = moved < base
+    steps = np.full(len(a), passes)
     switch = np.full(len(a), base)                 # 0 while a start is held
     held = False
     # A Newton stack holds about 10 (d_a + d_b)^2 entries per start, so
     # it takes at most this many starts at a time.
     stack = max(1, PROBE_BLOCK // (d_a + d_b))
-    moved = np.empty_like(value)
-    steps = np.zeros(len(a), dtype=int)
-    finish = np.zeros(len(a), dtype=bool)
-    active = np.arange(len(a))
     while active.size:
         swept = active[~finish[active]]
         if swept.size:
@@ -298,12 +319,7 @@ def _seesaw(e4, a, b):
             switch[swept] = 0.0
             held = held or bool(swept.size)
         if swept.size:
-            a[swept] = np.linalg.eigh(
-                _local_operators(e_a, b[swept]))[1][..., 0]
-            w, vecs = np.linalg.eigh(_local_operators(e_b, a[swept]))
-            b[swept] = vecs[..., 0]
-            moved[swept] = abs(w[:, 0] - value[swept])
-            value[swept] = w[:, 0]
+            sweep(swept)
             if held:          # a sweep that moves by the switch lets go
                 switch[swept[moved[swept] >= base]] = base
             finish[swept] = moved[swept] < switch[swept]

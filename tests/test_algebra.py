@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from witnesslab import algebra as ba
 from witnesslab import linalg as la
@@ -69,6 +71,50 @@ def test_embedding_permutation_is_permutation():
     alg = ba.BipartiteAlgebra((2, 1), (3,))
     assert np.array_equal(ba.embedding_permutation(alg),
                           np.arange(alg.total_dim))
+
+
+_BLOCKS = st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple)
+
+
+@settings(deadline=None, max_examples=60)
+@given(blocks_a=_BLOCKS, blocks_b=_BLOCKS)
+def test_sector_index_is_built_once_and_read_only(blocks_a, blocks_b):
+    alg = ba.BipartiteAlgebra(blocks_a, blocks_b)
+    twin = ba.BipartiteAlgebra(blocks_a, blocks_b)
+    text, doc = repr(alg), alg.to_json()
+    assert "sector_index" not in alg.__dict__
+    labels, order, sizes = index = alg.sector_index
+    assert alg.sector_index is index
+    k = np.repeat(np.arange(len(blocks_a)), blocks_a)
+    l = np.repeat(np.arange(len(blocks_b)), blocks_b)
+    expected = (k[:, None] * len(blocks_b) + l[None, :]).ravel()
+    assert np.array_equal(labels, expected)
+    assert np.array_equal(order, np.argsort(expected, kind="stable"))
+    assert np.array_equal(sizes, np.bincount(expected))
+    for array in index:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert ba.sector_labels(alg) is labels
+    assert ba.embedding_permutation(alg) is order
+    # The index is no field: built or not, equal algebras stay equal.
+    assert alg == twin and hash(alg) == hash(twin)
+    assert (repr(alg), alg.to_json()) == (text, doc)
+    assert text == f"BipartiteAlgebra(blocks_a={blocks_a}, " \
+        f"blocks_b={blocks_b})"
+    slots = ba._draw_slots(alg)
+    hits = ba._draw_slots.cache_info().hits
+    assert ba._draw_slots(twin) is slots
+    assert ba._draw_slots.cache_info().hits == hits + 1
+    assert "sector_index" not in twin.__dict__
+
+
+def test_construction_builds_no_index():
+    # The index of this algebra would hold 10^10 labels.
+    alg = ba.BipartiteAlgebra((10**5,), (10**5,))
+    assert alg.total_dim == 10**10 and not alg.is_commutative
+    with pytest.raises(ValueError, match="does not match algebra dimension"):
+        ba.in_algebra(np.eye(4), alg)
+    assert "sector_index" not in alg.__dict__
 
 
 LAYOUTS = [((2,), (2,)), ((2,), (1, 1)), ((2, 1), (3,)), ((1, 2), (2, 1)),

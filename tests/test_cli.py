@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
+import copy
 import csv
+import functools
 import io
 import json
 import math
@@ -25,8 +27,9 @@ from witnesslab import linalg as la
 from witnesslab import verify
 from witnesslab.cli import main, parse_algebra, sector_basis_permutation
 from witnesslab.verify import check_entanglement_witness
-from witnesslab.witnesses import (QubitQWParams, ShiftedSwapParams, qubit_qw,
-                                  shifted_swap_factors, shifted_swap_stack,
+from witnesslab.witnesses import (QubitQWParams, ShiftedSwapParams, bell_chsh,
+                                  qubit_qw, shifted_swap_factors,
+                                  shifted_swap_stack, standard_bell_settings,
                                   swap_operator)
 
 RT2 = math.sqrt(2.0)
@@ -524,6 +527,43 @@ def test_scan_csv_writer_formats_as_before(tmp_path, kind, steps):
     assert _scan_csv(tmp_path, kind, rows) == _reference_csv(header, rows)
 
 
+def _csv_writer_text(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("kind, make", [
+    ("chi-threshold", lambda: cli.chi_threshold_scan(400)),
+    ("fig1", lambda: witnesslab.witnesses.fig1_surfaces(12)),
+    ("ratio-theta", lambda: cli.ratio_theta_scan(60)),
+    ("xi-sweep", lambda: cli.xi_sweep_scan(60, 3, 0.7))])
+def test_scan_csv_is_what_csv_writer_writes(tmp_path, capsys, kind, make):
+    rows = make()
+    header = cli._SCAN_HEADERS[kind]
+    want = _csv_writer_text(header, rows)
+    assert _scan_csv(tmp_path, kind, rows) == want
+    cli._write_csv(None, header, rows)
+    assert capsys.readouterr().out == want
+
+
+_CELL = st.none() | st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, math.nan])
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data(), width=st.integers(2, 6))
+def test_write_csv_is_what_csv_writer_writes(tmp_path_factory, data, width):
+    # Scans have 3 to 5 columns; csv.writer quotes a lone empty cell.
+    header = [f"c{j}" for j in range(width)]
+    rows = data.draw(st.lists(st.tuples(*[_CELL] * width), max_size=20))
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    cli._write_csv(path, header, rows)
+    assert path.read_bytes().decode() == _csv_writer_text(header, rows)
+
+
 def test_scan_rejects_non_finite_phase(capsys, monkeypatch):
     monkeypatch.setattr(cli, "hermitian_eigenvalues", _refuse)
     for phi in ("nan", "inf", "-inf"):
@@ -764,6 +804,86 @@ def test_probe_lemma(capsys):
     assert code == 0
     report = json.loads(stdout)
     assert report["passed"]
+
+
+def test_huge_algebras_exit_2_before_their_index(tmp_path, capsys):
+    # Building the index of "100000;100000" would take 10^10 labels.
+    code, out, err = run_cli(capsys, "probe", "lemma",
+                             "--alg", "100000;100000")
+    assert (code, out) == (2, "")
+    assert err == ("error: the algebra's total dimension is 10000000000, "
+                   "above the cap of 32\n")
+    path = tmp_path / "swap.json"
+    la.save_matrix(path, swap_operator(2))
+    code, out, err = run_cli(capsys, "verify", "qw", "--alg",
+                             "100000;100000", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert "does not match algebra dimension" in err
+
+
+@functools.cache
+def _report_docs():
+    """One document of each report that verify and probe print."""
+    bell = bell_chsh(standard_bell_settings(+1))
+    ew, qw = verify.ew_implies_qw(bell, 2, 2, restarts=4)
+    theorem1 = verify.theorem1_probe(parse_algebra("2;2"), 50)
+    assert theorem1.witness_x is not None and not theorem1.fallback_used
+    return {
+        "lemma": verify.classical_lemma_test(parse_algebra("2,1;2"),
+                                             20).to_json(),
+        "theorem1": theorem1.to_json(),
+        "ew": ew.to_json(),
+        "qw": verify.check_quantumness_witness(
+            -swap_operator(2), parse_algebra("2;2")).to_json(),
+        "both": {"ew": ew.to_json(), "qw": qw.to_json()},
+    }
+
+
+def _float_slots(doc):
+    """(container, key) of every float and every matrix entry list."""
+    for key, value in doc.items():
+        if isinstance(value, float):
+            yield doc, key
+        elif isinstance(value, dict):
+            if set(value) == {"dim", "re", "im"}:
+                yield value, "re"
+                yield value, "im"
+            else:
+                yield from _float_slots(value)
+
+
+_ENTRY = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308])
+
+
+@settings(deadline=None, max_examples=100)
+@given(kind=st.sampled_from(["lemma", "theorem1", "ew", "qw", "both"]),
+       data=st.data())
+def test_report_text_is_what_json_dumps_writes(kind, data):
+    doc = copy.deepcopy(_report_docs()[kind])
+    for holder, key in _float_slots(doc):
+        if isinstance(holder[key], list):     # matrix entries are finite
+            holder[key] = data.draw(st.lists(
+                _ENTRY, min_size=len(holder[key]),
+                max_size=len(holder[key])))
+        else:
+            holder[key] = data.draw(_ENTRY | st.floats())
+    assert la.json_text(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "qw", "--alg", "2;2"], ["verify", "ew", "--dims", "2", "2"],
+    ["verify", "both", "--dims", "2", "2"],
+    ["probe", "lemma", "--alg", "2,1;2", "--trials", "20"],
+    ["probe", "theorem1", "--alg", "2;2", "--trials", "50"]])
+def test_reports_print_what_json_dumps_writes(tmp_path, capsys, argv):
+    if argv[0] == "verify":
+        path = tmp_path / "bell.json"
+        la.save_matrix(path, bell_chsh(standard_bell_settings(+1)))
+        argv = argv + ["--in", str(path)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 _ALG_TOKEN = st.one_of(

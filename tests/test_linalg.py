@@ -1,10 +1,11 @@
 """Unit tests for the dense complex matrix kernel."""
 
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from witnesslab import linalg as la
@@ -424,6 +425,20 @@ _PROVENANCE = st.recursive(
     _JSON_LEAF, lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=5), inner, max_size=3),
     max_leaves=12)
+
+
+@settings(deadline=None, max_examples=150)
+@given(doc=st.recursive(
+    _JSON_LEAF | st.lists(st.floats() | _SPECIAL | st.sampled_from(
+        [math.inf, -math.inf, math.nan]), min_size=1, max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5) | st.integers(), inner,
+                      max_size=3),
+    max_leaves=12))
+@example(doc={"re": [1.0, math.inf], "im": [math.nan, -0.0]})
+@example(doc=[[-math.inf], [], {}, {1: [5e-324]}])
+def test_json_text_is_what_json_dumps_writes(doc):
+    assert la.json_text(doc) == json.dumps(doc, indent=2)
 
 
 @settings(deadline=None, max_examples=120)

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from witnesslab import linalg as la
@@ -174,6 +174,21 @@ def test_qw_matches_dense_reference_144_sectors(seed, lift):
     # One-dimensional sectors: the eigenvalues are the vertex values.
     assert report.verdict == "refuted"
     assert (report.violating_vertex is None) == lift
+
+
+@settings(deadline=None, max_examples=60)
+@given(blocks_a=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       blocks_b=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       seed=st.integers(0, 2**31))
+def test_qw_certificate_is_the_dense_one_bit_for_bit(blocks_a, blocks_b,
+                                                      seed):
+    # Off its sector, pure_state's projector holds -0.0 wherever the signs
+    # of the factors give it; the report prints those zeros as "-0.0".
+    alg = BipartiteAlgebra(tuple(blocks_a), tuple(blocks_b))
+    q = sample_witness(alg, seed, lift=True)
+    cert = dense_qw_reference(q, alg)[4]
+    report = check_quantumness_witness(q, alg)
+    assert report.certificate_state.tobytes() == cert.tobytes()
 
 
 def test_qw_ties_go_to_first_sector_in_layout_order():
@@ -496,21 +511,31 @@ def seesaw_per_restart(e4, a, b):
 
 
 def assert_matches_per_restart(e, d_a, d_b, restarts, seed):
+    """The stacked see-saw against the sweep-only reference.
+
+    The bound on the minimum is one-way: the reference stops on a small
+    move and can end above its own local minimum, which the Newton finish
+    reaches, so the change may land lower (by 3e-12 * scale on the
+    ``@example`` below) but never more than 1e-12 * scale higher, and
+    never below the spectrum.
+    """
     with mock.patch.object(verify, "_seesaw", seesaw_per_restart):
         ref = check_entanglement_witness(e, d_a, d_b, restarts, seed)
     report = check_entanglement_witness(e, d_a, d_b, restarts, seed)
     scale = max(1.0, la.frobenius(e))
-    assert (abs(report.min_product_expectation - ref.min_product_expectation)
-            <= 1e-12 * scale)
+    product = report.min_product_expectation
+    assert product <= ref.min_product_expectation + 1e-12 * scale
+    assert product >= report.min_eigenvalue - 1e-12 * scale
     assert ((report.verdict, report.heuristic, report.restarts_used,
              report.min_eigenvalue)
             == (ref.verdict, ref.heuristic, ref.restarts_used,
                 ref.min_eigenvalue))
-    if ref.verdict != "inconclusive" and ref.min_product_expectation >= -la.TOL:
+    product_backed = report.verdict == "inconclusive" or product < -la.TOL
+    if not product_backed:
         assert np.array_equal(report.certificate_state, ref.certificate_state)
-    else:
-        value = la.expectation(report.certificate_state, e)
-        assert abs(value - report.min_product_expectation) <= 1e-9 * scale
+    value = la.expectation(report.certificate_state, e)
+    backs = product if product_backed else report.min_eigenvalue
+    assert abs(value - backs) <= 1e-9 * scale
     return report
 
 
@@ -518,6 +543,8 @@ def assert_matches_per_restart(e, d_a, d_b, restarts, seed):
 @given(d_a=st.integers(1, 4), d_b=st.integers(1, 4),
        restarts=st.integers(1, 8), seed=st.integers(0, 2**31),
        lift=st.booleans())
+# The Newton finish lands 3.0e-12 * scale below the reference here.
+@example(d_a=4, d_b=4, restarts=1, seed=842682600, lift=True)
 def test_ew_stacked_seesaw_matches_per_restart(d_a, d_b, restarts, seed,
                                                lift):
     e = random_hermitian(d_a * d_b, seed)
