@@ -11,8 +11,9 @@ side has no exact decision procedure; the product-state minimum is
 estimated by see-saw alternation from seeded random starts (an upper
 bound on the true minimum), with all restarts run as one stack of GEMMs
 and eigensolves.  Starts whose sweeps have slowed down finish with
-stacked Newton steps on the product of the two unit spheres, and every
-see-saw stopping rule scales with ||E||_F.
+stacked Newton steps on the product of the two unit spheres, a failed
+step sends a start back to sweeps a rung lower, and every see-saw rule
+scales with ||E||_F.
 Reports always carry enough data to re-evaluate the verdict
 independently; their JSON is their dataclass fields in declaration order.
 """
@@ -157,12 +158,14 @@ def _party_matrices(e4):
 
 
 def _local_operators(e_x, v):
-    """Hermitian parts of <v|E|v> on the other party, one per row of ``v``:
-    the outer products conj(v) v^T times ``e_x``^T in one GEMM."""
+    """<v|E|v> on the other party, one per row of ``v``: the outer products
+    conj(v) v^T times ``e_x``^T in one GEMM.  They are Hermitian up to
+    rounding and are not symmetrized: np.linalg.eigh reads only the lower
+    triangle and the real part of the diagonal."""
     r, d = v.shape
     outer = (v.conj()[:, :, None] * v[:, None, :]).reshape(r, d * d)
     n = math.isqrt(e_x.shape[0])
-    return hermitian_part((outer @ e_x.T).reshape(r, n, n))
+    return (outer @ e_x.T).reshape(r, n, n)
 
 
 def _complement(v):
@@ -249,18 +252,20 @@ def _seesaw(e4, a, b):
     (value, a, b) once a sweep or a Newton step moves its value by less
     than SEESAW_CONVERGENCE * ||E||_F, or after SEESAW_MAX_ITERS sweeps
     and steps in all.  A start whose sweep moves its value by less than
-    sqrt(SEESAW_CONVERGENCE) * ||E||_F, the switch, goes to the finish;
-    once no start is left sweeping, the switched ones take
-    ``_newton_step`` as one stack.  A step is taken only if it does not
-    raise the value; a rise too small to count as a move stops the start
-    where it was.  A larger rise, a step that is no descent direction,
-    and every step of a stack whose solve fails hold the start on plain
-    sweeps until one of them moves its value by at least the switch, as
-    when it leaves the saddle that stalled it.  A start's sweeps and steps
-    do not depend on the other starts, so waiting for the stack changes
-    no result.  At d_a or d_b = 1 a sweep is already exact and no start
-    switches.  At E = 0 every value is 0, and the starts come back as
-    drawn.
+    its switch goes to the finish; once no start is left sweeping, the
+    switched ones take ``_newton_step`` as one stack.  The switch starts
+    on the top rung, cbrt(SEESAW_CONVERGENCE) * ||E||_F.  A step is taken
+    only if it does not raise the value; a rise too small to count as a
+    move stops the start where it was.  A larger rise, a step that is no
+    descent direction and every step of a stack whose solve fails send
+    the start back to sweeps a rung lower: to the base rung
+    sqrt(SEESAW_CONVERGENCE) * ||E||_F, and from there to 0, which holds
+    it on sweeps.  A sweep that moves the value by at least a rung lifts
+    the switch back to that rung, as when the start leaves the saddle that
+    stalled it.  A start's sweeps and steps do not depend on the other
+    starts, so waiting for the stack changes no result.  At d_a or d_b = 1
+    a sweep is already exact and no start switches.  At E = 0 every value
+    is 0, and the starts come back as drawn.
     """
     d_a, d_b = e4.shape[:2]
     e_a, e_b = _party_matrices(e4)
@@ -272,7 +277,9 @@ def _seesaw(e4, a, b):
         return value, a, b
     stop = SEESAW_CONVERGENCE * scale
     # No start switches where one party is a scalar: a sweep is exact.
-    base = math.sqrt(SEESAW_CONVERGENCE) * scale * (min(d_a, d_b) > 1)
+    rung = scale * (min(d_a, d_b) > 1)
+    top = SEESAW_CONVERGENCE ** (1 / 3) * rung
+    base = math.sqrt(SEESAW_CONVERGENCE) * rung
     moved = np.full_like(value, np.inf)
 
     def sweep(rows):
@@ -285,14 +292,14 @@ def _seesaw(e4, a, b):
     # Plain sweeps until an active start switches: until then every active
     # start has swept `passes` times, and none is finishing or held.
     active, passes = np.arange(len(a)), 0
-    while active.size and not (moved[active] < base).any():
+    while active.size and not (moved[active] < top).any():
         passes += 1
         sweep(active)
         active = active[(moved[active] >= stop) & (passes < SEESAW_MAX_ITERS)]
-    finish = moved < base
+    finish = moved < top
     steps = np.full(len(a), passes)
-    switch = np.full(len(a), base)                 # 0 while a start is held
-    held = False
+    switch = np.full(len(a), top)                  # 0 while a start is held
+    dropped = False
     # A Newton stack holds about 10 (d_a + d_b)^2 entries per start, so
     # it takes at most this many starts at a time.
     stack = max(1, PROBE_BLOCK // (d_a + d_b))
@@ -314,14 +321,16 @@ def _seesaw(e4, a, b):
                 took = stepped[ok]
                 value[took], a[took], b[took] = trial[ok], t_a[ok], t_b[ok]
                 # A rise too small to count as a move stops the start
-                # where it was; after a larger one it is held on sweeps.
+                # where it was; after a larger one it drops a rung.
                 swept = stepped[~ok & (moved[stepped] >= stop)]
-            switch[swept] = 0.0
-            held = held or bool(swept.size)
+            switch[swept] = np.where(switch[swept] > base, base, 0.0)
+            dropped = dropped or bool(swept.size)
         if swept.size:
             sweep(swept)
-            if held:          # a sweep that moves by the switch lets go
-                switch[swept[moved[swept] >= base]] = base
+            if dropped:       # a sweep that moves by a rung lifts it there
+                up = np.where(moved[swept] >= top, top,
+                              base * (moved[swept] >= base))
+                switch[swept] = np.maximum(switch[swept], up)
             finish[swept] = moved[swept] < switch[swept]
         active = active[(moved[active] >= stop)
                         & (steps[active] < SEESAW_MAX_ITERS)]

@@ -660,6 +660,97 @@ def test_ew_choi_starts_finish_within_the_budget(monkeypatch):
     assert len(calls) <= 2 * verify.SEESAW_MAX_ITERS
 
 
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**31 - 1])
+def test_eigh_reads_the_lower_triangle_and_the_real_diagonal(seed):
+    # The see-saw hands np.linalg.eigh its local operators as one GEMM
+    # leaves them, Hermitian only up to rounding, and relies on eigh
+    # seeing the Hermitian matrix built from their lower triangle and the
+    # real part of their diagonal.  A numpy that changes this fails here
+    # first.
+    rng = np.random.default_rng(seed)
+    for d in range(1, 5):
+        m = (rng.standard_normal((8, d, d))
+             + 1j * rng.standard_normal((8, d, d)))
+        u, v = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
+        m[0] = 0.0
+        m[1] = np.outer(u, v)
+        m[2] = np.outer(u, u.conj())
+        m[3] *= 1e-300
+        low = np.tril(m, -1)
+        h = low + low.conj().swapaxes(1, 2)
+        h[:, range(d), range(d)] = np.diagonal(m, axis1=1, axis2=2).real
+        for raw, built in zip(np.linalg.eigh(m), np.linalg.eigh(h)):
+            assert np.array_equal(raw, built)
+
+
+@pytest.mark.parametrize("failure", ["inf", "linalg"])
+@pytest.mark.parametrize("e,d_a,d_b", [(choi_witness(), 3, 3),
+                                       (random_hermitian(16, 4), 4, 4)],
+                         ids=["choi", "random-4x4"])
+def test_ew_first_newton_stack_fails(monkeypatch, failure, e, d_a, d_b):
+    # Every start of the first Newton stack fails at the top rung, with
+    # every row at +inf or with a singular solve: each drops to the base
+    # rung, sweeps on and still finishes within the budget.
+    calls, steps = [], []
+    local_operators, newton_step = verify._local_operators, verify._newton_step
+
+    def counting(e_x, v):
+        calls.append(len(v))
+        return local_operators(e_x, v)
+
+    def failing_once(e4, e_a, e_b, a, b, value):
+        steps.append(len(a))
+        if len(steps) > 1:
+            return newton_step(e4, e_a, e_b, a, b, value)
+        if failure == "linalg":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full(len(a), np.inf), a, b
+
+    monkeypatch.setattr(verify, "_local_operators", counting)
+    monkeypatch.setattr(verify, "_newton_step", failing_once)
+    assert_matches_per_restart(e, d_a, d_b, 32, 42)
+    assert len(steps) > 1
+    assert len(calls) <= 2 * verify.SEESAW_MAX_ITERS
+
+
+def test_finish_rungs(monkeypatch):
+    # A start enters the finish once a sweep moves its value by less than
+    # the top rung cbrt(SEESAW_CONVERGENCE) * ||E||_F; with the switch at
+    # the base rung sqrt(SEESAW_CONVERGENCE) * ||E||_F alone, none would
+    # enter after a larger move.  A failed first step drops it to the
+    # base rung, so it enters again only after a move below that.  One
+    # start at a time: every second eigh call gives that start's value.
+    e = random_hermitian(16, 4)
+    e4 = e.reshape(4, 4, 4, 4)
+    top = verify.SEESAW_CONVERGENCE ** (1 / 3) * la.frobenius(e)
+    base = math.sqrt(verify.SEESAW_CONVERGENCE) * la.frobenius(e)
+    values, entries, eigh = [], [], np.linalg.eigh
+
+    class Entered(Exception):
+        pass
+
+    def recording(m):
+        w, v = eigh(m)
+        values.append(w[0, 0])
+        return w, v
+
+    def failing(e4, e_a, e_b, a, b, value):
+        entries.append(abs(values[-1] - values[-3]))
+        if len(entries) % 2 == 0:
+            raise Entered
+        return np.full(len(a), np.inf), a, b
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    monkeypatch.setattr(verify, "_newton_step", failing)
+    for a, b in zip(*ws.random_unit_pairs(np.random.default_rng(42), 8, 4, 4)):
+        values.clear()
+        with pytest.raises(Entered):
+            verify._seesaw(e4, a[None], b[None])
+    first, second = np.array(entries[::2]), np.array(entries[1::2])
+    assert (first < top).all() and (first >= base).any()
+    assert (second < base).all()
+
+
 @settings(deadline=None, max_examples=40)
 @given(d_a=st.integers(1, 4), d_b=st.integers(1, 4),
        count=st.integers(1, 8), seed=st.integers(0, 2**31))
