@@ -17,8 +17,8 @@ interleaved physical indices.  ``BipartiteAlgebra.sector_index`` is the
 one sector index, built on first use and kept: each physical index's
 sector (``sector_labels``), their stable argsort (the embedding) and the
 sector sizes; ``sector_indices`` splits the embedding per sector, and
-everything else reads the index.  The vertices are kept as diagonals and
-built densely only when indexed.
+everything else reads it, or the support index and vertex diagonals built
+from it on first use.  A vertex is built densely only when indexed.
 """
 
 from __future__ import annotations
@@ -32,6 +32,11 @@ import numpy as np
 
 from .linalg import (EXACT_TOL, TOL, as_matrix, frobenius, hermitian_part,
                      require_hermitian)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -59,10 +64,21 @@ class BipartiteAlgebra:
         k = np.repeat(np.arange(len(self.blocks_a)), self.blocks_a)
         l = np.repeat(np.arange(len(self.blocks_b)), self.blocks_b)
         labels = (k[:, None] * len(self.blocks_b) + l[None, :]).ravel()
-        index = labels, np.argsort(labels, kind="stable"), np.bincount(labels)
-        for array in index:
-            array.flags.writeable = False
-        return index
+        return tuple(map(_read_only, (
+            labels, np.argsort(labels, kind="stable"), np.bincount(labels))))
+
+    @functools.cached_property
+    def support_index(self) -> np.ndarray:
+        """Read-only flat indices of the entries on the sector grids."""
+        label = self.sector_index[0]
+        return _read_only(np.flatnonzero(label[:, None] == label[None, :]))
+
+    @functools.cached_property
+    def vertex_diagonals(self) -> np.ndarray:
+        """Read-only (S, n): row j holds 1/size_j on sector j's indices."""
+        label, _, sizes = self.sector_index
+        return _read_only(np.where(np.arange(sizes.size)[:, None] == label,
+                                   1.0 / sizes[label], 0.0))
 
     @property
     def dim_a(self) -> int:
@@ -132,22 +148,21 @@ def sector_indices(alg: BipartiteAlgebra) -> list[np.ndarray]:
     return np.split(order, np.cumsum(sizes)[:-1])
 
 
-def in_algebra(m, alg: BipartiteAlgebra) -> bool:
-    """True iff ``m`` is supported only on the sector grids of ``alg``."""
-    m = as_matrix(m)
+def in_algebra(m, alg: BipartiteAlgebra, *, norm=None) -> bool:
+    """True iff no entry of ``m`` off the sector grids exceeds TOL * max(1,
+    ||m||_F); pass ``norm`` = ||m||_F to skip checking an ``m`` again."""
+    m = as_matrix(m) if norm is None else m
     if m.shape[0] != alg.total_dim:
-        raise ValueError(
-            f"dimension {m.shape[0]} does not match algebra "
-            f"dimension {alg.total_dim}")
-    label = alg.sector_index[0]
-    off = np.abs(m[label[:, None] != label[None, :]])
-    cutoff = TOL * max(1.0, frobenius(m))
-    return off.size == 0 or float(off.max()) <= cutoff
+        raise ValueError(f"dimension {m.shape[0]} does not match algebra "
+                         f"dimension {alg.total_dim}")
+    off = np.abs(m)
+    off.flat[alg.support_index] = 0.0
+    return float(off.max()) <= TOL * max(1.0, norm or frobenius(m))
 
 
-def require_in_algebra(m, alg: BipartiteAlgebra) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)     # in_algebra validates it
-    if not in_algebra(m, alg):
+def require_in_algebra(m, alg: BipartiteAlgebra, *, norm=None) -> np.ndarray:
+    m = np.asarray(m, dtype=complex)     # in_algebra or the caller checks it
+    if not in_algebra(m, alg, norm=norm):
         raise ValueError("operator is not in the algebra "
                          "(support crosses sector boundaries)")
     return m
@@ -166,9 +181,7 @@ def _draw_slots(alg: BipartiteAlgebra) -> np.ndarray:
     for idx in sector_indices(alg):
         entries = 2 * (idx[:, None] * n + idx[None, :]).ravel()
         slots += [entries, entries + 1]    # real parts, then imaginary
-    out = np.concatenate(slots)
-    out.flags.writeable = False
-    return out
+    return _read_only(np.concatenate(slots))
 
 
 def classical_state(alg: BipartiteAlgebra, weights) -> np.ndarray:
@@ -197,8 +210,7 @@ def classical_state(alg: BipartiteAlgebra, weights) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ClassicalVertices(Sequence):
-    """The vertex states, one per sector: row j of ``diagonals`` holds
-    1/size_j on sector j's indices; ``vertices[j]`` is built on demand."""
+    """Vertex states, one per row of ``diagonals``, built on demand."""
 
     diagonals: np.ndarray
 
@@ -210,11 +222,8 @@ class ClassicalVertices(Sequence):
 
 
 def classical_state_vertices(alg: BipartiteAlgebra) -> ClassicalVertices:
-    """Extreme points of the classical-state simplex, one per sector."""
-    label, _, sizes = alg.sector_index
-    diagonals = np.zeros((sizes.size, alg.total_dim))
-    diagonals[label, np.arange(alg.total_dim)] = 1.0 / sizes[label]
-    return ClassicalVertices(diagonals)
+    """Vertices of the classical simplex, on ``alg.vertex_diagonals``."""
+    return ClassicalVertices(alg.vertex_diagonals)
 
 
 def is_classical_state(rho, alg: BipartiteAlgebra) -> bool:

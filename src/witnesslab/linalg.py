@@ -43,15 +43,27 @@ def frobenius(m) -> float:
     return float(np.linalg.norm(m))
 
 
-def _hermitian_scale(m: np.ndarray) -> float | None:
-    """max(1, ||M||_F) of a checked matrix M, or None if M is not Hermitian
-    within TOL at that scale."""
-    scale = max(1.0, frobenius(m))
-    return scale if np.abs(m - m.conj().T).max() <= TOL * scale else None
+def hermitian_with_norm(m, what: str | None = "operator"):
+    """(M, ||M||_F), checked in order: square, finite entries, finite norm,
+    M within TOL * max(1, ||M||_F) of M^dag.  A failure raises ValueError;
+    a non-Hermitian M gives None instead if ``what`` is None."""
+    m = np.asarray(m, dtype=complex)
+    with np.errstate(over="ignore"):
+        norm = frobenius(m)
+    if not math.isfinite(norm) or m.ndim != 2 or len(m) != m.shape[1]:
+        as_matrix(m)          # a finite norm implies finite entries
+        raise ValueError(f"{what or 'operator'} Frobenius norm overflows")
+    # |M - M^dag| is symmetric: its upper triangle, in blocks under 128 KiB.
+    rows = 8192 // (len(m) or 1) or 1    # 0 x 0 fails in .max() as before
+    if max(np.abs(m[i:i + rows, i:] - m[i:, i:i + rows].conj().T).max()
+           for i in range(0, len(m) or 1, rows)) <= TOL * max(1.0, norm):
+        return m, norm
+    if what is not None:
+        raise ValueError(f"{what} is not Hermitian within tolerance")
 
 
 def is_hermitian(m) -> bool:
-    return _hermitian_scale(as_matrix(m)) is not None
+    return hermitian_with_norm(m, None) is not None
 
 
 def hermitian_part(m) -> np.ndarray:
@@ -60,10 +72,7 @@ def hermitian_part(m) -> np.ndarray:
 
 
 def require_hermitian(m, what: str = "operator") -> np.ndarray:
-    m = as_matrix(m)
-    if _hermitian_scale(m) is None:
-        raise ValueError(f"{what} is not Hermitian within tolerance")
-    return m
+    return hermitian_with_norm(m, what)[0]
 
 
 def tensor(a, b) -> np.ndarray:
@@ -117,16 +126,14 @@ def hermitian_eigensystem(h) -> EigenSystem:
     Backed by LAPACK through numpy, which is deterministic for a fixed
     input.  Raises if ``h`` is not Hermitian within tolerance.
     """
-    h = require_hermitian(h)
-    w, v = np.linalg.eigh(hermitian_part(h))
-    return EigenSystem(w, v)
+    return EigenSystem(*np.linalg.eigh(hermitian_part(require_hermitian(h))))
 
 
 def hermitian_eigenvalues(stack) -> np.ndarray:
     """Ascending eigenvalues of every matrix of a stack (..., n, n).
 
-    The whole stack is checked as ``require_hermitian`` checks one matrix:
-    finite entries, each matrix Hermitian within TOL * max(1, ||M||_F).
+    The stack is checked for finite entries, and each matrix for
+    Hermiticity within TOL * max(1, ||M||_F) as ``require_hermitian`` does.
     Each row equals ``hermitian_eigensystem(matrix).eigenvalues`` bit for
     bit: the same ``eigh`` of the same Hermitian part.
     """
@@ -142,12 +149,9 @@ def hermitian_eigenvalues(stack) -> np.ndarray:
 
 def is_positive_semidefinite(h, what: str = "operator") -> tuple[bool, float]:
     """(PSD verdict, minimum eigenvalue) for a Hermitian matrix."""
-    h = as_matrix(h)
-    scale = _hermitian_scale(h)
-    if scale is None:
-        raise ValueError(f"{what} is not Hermitian within tolerance")
+    h, norm = hermitian_with_norm(h, what)
     min_eig = float(np.linalg.eigvalsh(hermitian_part(h))[0])
-    return min_eig >= -TOL * scale, min_eig
+    return min_eig >= -TOL * max(1.0, norm), min_eig
 
 
 def expectation(rho, o) -> float:

@@ -32,7 +32,7 @@ from .algebra import (BipartiteAlgebra, classical_state,
                       require_in_algebra, sector_indices, _blocks_from_draws,
                       _draw_slots, _random_block_raw, _random_element)
 from .linalg import (EXACT_TOL, RESIDUAL_TOL, TOL, anticommutator, frobenius,
-                     hermitian_part, matrix_to_json, require_hermitian)
+                     hermitian_part, hermitian_with_norm, matrix_to_json)
 from .states import pure_state, random_unit_pairs
 from .witnesses import QubitQWParams, qubit_qw
 
@@ -88,9 +88,11 @@ def check_quantumness_witness(q, alg: BipartiteAlgebra) -> WitnessReport:
     Condition (ii) (some state goes negative) is the minimum eigenvalue,
     computed sector by sector; the certificate is the projector onto the
     most negative eigenvector.  Both conditions compare against TOL.
-    Ties go to the first vertex or sector in ``block_layout`` order.
+    Ties go to the first vertex or sector in ``block_layout`` order.  ``q``
+    is checked once: finite, norm finite, Hermitian, in the algebra.
     """
-    q = require_in_algebra(require_hermitian(q, "witness"), alg)
+    q, norm = hermitian_with_norm(q, "witness")
+    require_in_algebra(q, alg, norm=norm)
 
     # Vertex values are diagonal row sums, added as np.trace(v @ q) adds.
     vertices = classical_state_vertices(alg)
@@ -359,15 +361,10 @@ def check_entanglement_witness(e, d_a: int, d_b: int,
     inconclusive.
     """
     require_dims(d_a, d_b)
-    with np.errstate(over="ignore"):     # an overflowing norm is refused
-        e = require_hermitian(e, "witness")
-        norm = frobenius(e)
-    if not math.isfinite(norm):
-        raise ValueError("witness Frobenius norm overflows")
+    e, norm = hermitian_with_norm(e, "witness")
     if d_a * d_b != e.shape[0]:
-        raise ValueError(
-            f"witness dimension {e.shape[0]} does not match "
-            f"{d_a}x{d_b}")
+        raise ValueError(f"witness dimension {e.shape[0]} does not match "
+                         f"{d_a}x{d_b}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
 

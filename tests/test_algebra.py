@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from witnesslab import algebra as ba
 from witnesslab import linalg as la
+from witnesslab.verify import check_quantumness_witness
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -114,7 +115,26 @@ def test_construction_builds_no_index():
     assert alg.total_dim == 10**10 and not alg.is_commutative
     with pytest.raises(ValueError, match="does not match algebra dimension"):
         ba.in_algebra(np.eye(4), alg)
-    assert "sector_index" not in alg.__dict__
+    with pytest.raises(ValueError, match="does not match algebra dimension"):
+        check_quantumness_witness(np.eye(4), alg)
+    for name in ("sector_index", "support_index", "vertex_diagonals"):
+        assert name not in alg.__dict__
+
+
+@pytest.mark.parametrize("blocks", [((2, 1), (1, 2)), ((1,) * 12, (1,) * 12)])
+def test_support_index_and_vertex_diagonals_are_built_once(blocks):
+    alg = ba.BipartiteAlgebra(*blocks)
+    n = alg.total_dim
+    mask = np.zeros((n, n), dtype=bool)
+    for idx in ba.sector_indices(alg):
+        mask[np.ix_(idx, idx)] = True
+    assert np.array_equal(alg.support_index, np.flatnonzero(mask))
+    vertices = ba.classical_state_vertices(alg)
+    assert vertices.diagonals is alg.vertex_diagonals
+    assert ba.classical_state_vertices(alg).diagonals is vertices.diagonals
+    for array in (alg.support_index, alg.vertex_diagonals):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 LAYOUTS = [((2,), (2,)), ((2,), (1, 1)), ((2, 1), (3,)), ((1, 2), (2, 1)),

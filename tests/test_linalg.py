@@ -211,6 +211,28 @@ def test_is_hermitian_boundary(scale, factor, accepted):
     assert la.is_hermitian(h + factor * cutoff * anti) == accepted
 
 
+@pytest.mark.parametrize("n", [64, 91, 108, 144, 200])
+def test_is_hermitian_sees_every_entry_of_a_blocked_matrix(n):
+    # The check forms the upper triangle of |M - M^dag| in blocks of
+    # 8192 // n rows; a defect on either side of the diagonal and of each
+    # block edge counts as it does in the whole matrix.
+    h = rand_hermitian(np.random.default_rng(n), n)
+    rows = 8192 // n
+    edges = sorted({0, n - 1} | {k for b in range(rows, n, rows)
+                                 for k in (b - 1, b)})
+    seen = set()
+    for i in edges:
+        for j in edges:
+            for factor in (0.4, 2.0):
+                m = h.copy()
+                m[i, j] += factor * 1e-9 * la.frobenius(h) * 1j
+                cutoff = 1e-9 * max(1.0, la.frobenius(m))
+                whole = np.abs(m - m.conj().T).max() <= cutoff
+                assert la.is_hermitian(m) == whole
+                seen.add(bool(whole))
+    assert seen == {True, False}
+
+
 def test_eigensystem_rejects_non_hermitian():
     with pytest.raises(ValueError):
         la.hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))

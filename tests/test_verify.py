@@ -17,7 +17,8 @@ from witnesslab import states as ws
 from witnesslab import verify
 from witnesslab.algebra import (BipartiteAlgebra, _random_block_raw,
                                 block_layout, classical_state, full_algebra,
-                                random_algebra_element, sector_indices)
+                                random_algebra_element, require_in_algebra,
+                                sector_indices, sector_labels)
 from witnesslab.cli import main
 from witnesslab.verify import (check_entanglement_witness,
                                check_quantumness_witness,
@@ -107,6 +108,89 @@ def test_qw_rejects_non_hermitian():
     with pytest.raises(ValueError):
         check_quantumness_witness(np.triu(np.ones((4, 4))),
                                   full_algebra(2, 2))
+
+
+# Layouts of tests/test_algebra.py, plus two whose Hermiticity test runs
+# over several blocks of rows (n = 144 and n = 108).
+QW_LAYOUTS = [((2,), (2,)), ((2,), (1, 1)), ((2, 1), (3,)), ((1, 2), (2, 1)),
+              ((3, 1, 2), (1, 3)), ((1,) * 5, (2, 1, 1)),
+              ((1,) * 12, (1,) * 12), ((5, 4, 3), (2, 3, 4))]
+QW_DEFECTS = ("none", "off-sector pair", "Hermiticity pair", "both", "nan",
+              "inf", "non-square", "wrong dimension")
+
+
+def qw_validation_reference(q, alg):
+    """The message with which the two-step validation refuses ``q``, or
+    None if it accepts it."""
+    try:
+        require_in_algebra(la.require_hermitian(q, "witness"), alg)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def qw_validation_written_out(q, alg):
+    """The same validation with the formulas written out: the whole
+    |q - q^dag| and the sector mask, against TOL * max(1, ||q||_F)."""
+    try:
+        q = la.as_matrix(q)
+    except ValueError as err:
+        return str(err)
+    cutoff = 1e-9 * max(1.0, la.frobenius(q))
+    if not np.abs(q - q.conj().T).max() <= cutoff:
+        return "witness is not Hermitian within tolerance"
+    if q.shape[0] != alg.total_dim:
+        return (f"dimension {q.shape[0]} does not match algebra dimension "
+                f"{alg.total_dim}")
+    label = sector_labels(alg)
+    off = np.abs(q[label[:, None] != label[None, :]])
+    if off.size and not off.max() <= cutoff:
+        return ("operator is not in the algebra "
+                "(support crosses sector boundaries)")
+    return None
+
+
+@settings(deadline=None, max_examples=150)
+@given(layout=st.sampled_from(QW_LAYOUTS), defect=st.sampled_from(QW_DEFECTS),
+       factor=st.sampled_from([0.5, 2.0]),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**31))
+def test_qw_validates_as_the_two_step_composition(layout, defect, factor,
+                                                  scale, seed):
+    # One entry moved by factor * TOL * max(1, ||q||_F), or a malformed q:
+    # the check accepts and refuses what the composition does, with its
+    # message.  An off-sector pair moved on both sides stays Hermitian; a
+    # one-sided move ("both", and the wrong dimension) also breaks
+    # Hermiticity, whose message must win at 2x.
+    alg = BipartiteAlgebra(*layout)
+    n = alg.total_dim
+    rng = np.random.default_rng(seed)
+    q = scale * random_algebra_element(
+        full_algebra(n + 1, 1) if defect == "wrong dimension" else alg, seed)
+    step = factor * 1e-9 * max(1.0, la.frobenius(q)) * rng.choice(
+        [1, -1, 1j, -1j])
+    label = sector_labels(alg)
+    off = np.argwhere(label[:, None] != label[None, :])
+    i, j = rng.choice(np.argwhere(~np.eye(n, dtype=bool)))
+    if defect in ("off-sector pair", "both") and len(off):
+        i, j = rng.choice(off)
+        q[j, i] += np.conj(step) if defect == "off-sector pair" else 0.0
+    if defect in ("off-sector pair", "both", "Hermiticity pair",
+                  "wrong dimension"):
+        q[i, j] += step
+    elif defect in ("nan", "inf"):
+        q[i, j] = np.nan if defect == "nan" else np.inf
+    elif defect == "non-square":
+        q = q[:, 1:] if seed % 2 else q[1:]
+    expected = qw_validation_reference(q, alg)
+    assert qw_validation_written_out(q, alg) == expected
+    try:
+        check_quantumness_witness(q, alg)
+    except ValueError as err:
+        assert str(err) == expected
+    else:
+        assert expected is None
+    if factor == 2.0 and defect in ("both", "wrong dimension"):
+        assert expected == "witness is not Hermitian within tolerance"
 
 
 def dense_qw_reference(q, alg):
@@ -631,6 +715,19 @@ def test_ew_refuses_an_overflowing_norm():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="norm overflows"):
                 check_entanglement_witness(e, 2, 2)
+
+
+def test_qw_refuses_an_overflowing_norm():
+    # The quantumness check refuses what the entanglement check refuses.
+    for q, alg in ((np.full((4, 4), 1e308), full_algebra(2, 2)),
+                   (np.diag([1e308, -1e308, 1.0, 1.0]),
+                    BipartiteAlgebra((1, 1), (1, 1))),
+                   (1e300 * np.eye(4), full_algebra(2, 2))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="witness Frobenius norm overflows"):
+                check_quantumness_witness(q, alg)
 
 
 def test_ew_refuses_values_that_are_not_finite(monkeypatch):
