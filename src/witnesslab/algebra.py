@@ -17,8 +17,8 @@ interleaved physical indices.  ``BipartiteAlgebra.sector_index`` is the
 one sector index, built on first use and kept: each physical index's
 sector (``sector_labels``), their stable argsort (the embedding) and the
 sector sizes; ``sector_indices`` splits the embedding per sector, and
-everything else reads it, or the support index and vertex diagonals built
-from it on first use.  A vertex is built densely only when indexed.
+everything else reads it, or the support index, vertex diagonals and draw
+slots built from it on first use; only an indexed vertex is made dense.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (EXACT_TOL, TOL, as_matrix, frobenius, hermitian_part,
-                     require_hermitian)
+from .linalg import (EXACT_TOL, TOL, finite_with_norm, hermitian_part,
+                     hermitian_with_norm)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -79,6 +79,17 @@ class BipartiteAlgebra:
         label, _, sizes = self.sector_index
         return _read_only(np.where(np.arange(sizes.size)[:, None] == label,
                                    1.0 / sizes[label], 0.0))
+
+    @functools.cached_property
+    def draw_slots(self) -> np.ndarray:
+        """Read-only float offsets of ``_random_block_raw``'s draws: entry
+        (i, j) has Re at ``2 * (i * total_dim + j)`` and Im right after."""
+        n = self.total_dim
+        slots = []
+        for idx in sector_indices(self):
+            entries = 2 * (idx[:, None] * n + idx[None, :]).ravel()
+            slots += [entries, entries + 1]    # real parts, then imaginary
+        return _read_only(np.concatenate(slots))
 
     @property
     def dim_a(self) -> int:
@@ -151,13 +162,14 @@ def sector_indices(alg: BipartiteAlgebra) -> list[np.ndarray]:
 def in_algebra(m, alg: BipartiteAlgebra, *, norm=None) -> bool:
     """True iff no entry of ``m`` off the sector grids exceeds TOL * max(1,
     ||m||_F); pass ``norm`` = ||m||_F to skip checking an ``m`` again."""
-    m = as_matrix(m) if norm is None else m
-    if m.shape[0] != alg.total_dim:
-        raise ValueError(f"dimension {m.shape[0]} does not match algebra "
+    if norm is None:
+        m, norm = finite_with_norm(m)
+    if m.shape != (alg.total_dim,) * 2:
+        raise ValueError(f"shape {m.shape} does not match algebra "
                          f"dimension {alg.total_dim}")
     off = np.abs(m)
     off.flat[alg.support_index] = 0.0
-    return float(off.max()) <= TOL * max(1.0, norm or frobenius(m))
+    return float(off.max()) <= TOL * max(1.0, norm)
 
 
 def require_in_algebra(m, alg: BipartiteAlgebra, *, norm=None) -> np.ndarray:
@@ -166,22 +178,6 @@ def require_in_algebra(m, alg: BipartiteAlgebra, *, norm=None) -> np.ndarray:
         raise ValueError("operator is not in the algebra "
                          "(support crosses sector boundaries)")
     return m
-
-
-@functools.lru_cache(maxsize=64)
-def _draw_slots(alg: BipartiteAlgebra) -> np.ndarray:
-    """Where each draw of ``_random_block_raw`` lands in a full-space
-    complex matrix viewed as 2 * total_dim**2 floats: the real part of
-    entry (i, j) sits at ``2 * (i * total_dim + j)``, its imaginary part
-    right after.  Built once per algebra; the array is shared, hence
-    read-only.
-    """
-    n = alg.total_dim
-    slots = []
-    for idx in sector_indices(alg):
-        entries = 2 * (idx[:, None] * n + idx[None, :]).ravel()
-        slots += [entries, entries + 1]    # real parts, then imaginary
-    return _read_only(np.concatenate(slots))
 
 
 def classical_state(alg: BipartiteAlgebra, weights) -> np.ndarray:
@@ -282,7 +278,7 @@ def _random_block_raw(alg: BipartiteAlgebra, rng: np.random.Generator,
     unstacked calls would, in the same order.
     """
     return _blocks_from_draws(
-        alg, rng.standard_normal(shape + _draw_slots(alg).shape))
+        alg, rng.standard_normal(shape + alg.draw_slots.shape))
 
 
 def _blocks_from_draws(alg: BipartiteAlgebra, draws) -> np.ndarray:
@@ -291,7 +287,7 @@ def _blocks_from_draws(alg: BipartiteAlgebra, draws) -> np.ndarray:
     total_dim)`` complex matrices supported on the sector grids."""
     n = alg.total_dim
     out = np.zeros(draws.shape[:-1] + (2 * n * n,))
-    out[..., _draw_slots(alg)] = draws
+    out[..., alg.draw_slots] = draws
     return out.view(complex).reshape(draws.shape[:-1] + (n, n))
 
 
@@ -311,4 +307,4 @@ def random_algebra_element(alg: BipartiteAlgebra, seed: int,
     """Seeded Hermitian element of the algebra; G^dag G per sector if
     ``positive``."""
     rng = np.random.default_rng(seed)
-    return require_hermitian(_random_element(alg, rng, positive))
+    return hermitian_with_norm(_random_element(alg, rng, positive))[0]

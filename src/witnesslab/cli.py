@@ -29,9 +29,8 @@ import numpy as np
 
 from . import __version__
 from .algebra import BipartiteAlgebra, full_algebra
-from .linalg import (hermitian_eigensystem, hermitian_eigenvalues,
-                     json_text, load_matrix, matrix_to_json, save_matrix,
-                     tensor)
+from .linalg import (hermitian_eigensystem, json_text, load_matrix,
+                     matrix_to_json, save_matrix, tensor)
 from .states import KET_MINUS, KET_PLUS
 from .verify import (DEFAULT_RESTARTS, DEFAULT_SEED,
                      check_entanglement_witness, check_quantumness_witness,
@@ -162,8 +161,8 @@ def ratio_theta_scan(steps: int):
     for block in _blocks(np.linspace(0.0, math.pi, steps + 2)[1:-1], 2):
         thetas = block.tolist()
         v = np.array([(math.sin(t), 0.0, math.cos(t)) for t in thetas])
-        w = hermitian_eigenvalues(qubit_qw_stack(1.0, 1.0, (0.0, 0.0, 1.0),
-                                                 v)[2])
+        w = hermitian_eigensystem(qubit_qw_stack(
+            1.0, 1.0, (0.0, 0.0, 1.0), v)[2]).eigenvalues
         lam_minus, lam_plus = w[:, 0], w[:, -1]
         rows += zip(thetas, lam_plus.tolist(), lam_minus.tolist(),
                     (lam_minus / lam_plus).tolist(),
@@ -179,7 +178,7 @@ def xi_sweep_scan(steps: int, d: int = 2, phi: float = 0.0):
     for xis in _blocks(np.linspace(0.0, 1.0, steps + 2)[1:-1], d * d):
         x, y, shifted, residual = shifted_swap_stack(xis, phi, d)
         rows += zip(xis.tolist(), residual.tolist(),
-                    *(hermitian_eigenvalues(m)[:, 0].tolist()
+                    *(hermitian_eigensystem(m).eigenvalues[:, 0].tolist()
                       for m in (x, y, shifted)))
     return rows
 

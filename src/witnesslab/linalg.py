@@ -1,10 +1,11 @@
 """Dense complex matrix kernel.
 
 All operators and states in this package are plain numpy arrays of
-complex128, square and row-major.  Dimensions stay small (a few dozen at
-most), so every routine favors clarity and strict validation over
-asymptotic cleverness.  All functions are pure; thread safety is by
-immutability.
+complex128, square and row-major.  The checks and the eigensolver also
+take a stack (..., n, n) and treat each matrix as they treat it alone.
+Dimensions stay small (a few dozen at most), so every routine favors
+clarity and strict validation over asymptotic cleverness.  All
+functions are pure; thread safety is by immutability.
 
 The shared on-disk format for matrices is
 
@@ -15,6 +16,7 @@ with exactly those field names.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import NamedTuple
@@ -43,36 +45,62 @@ def frobenius(m) -> float:
     return float(np.linalg.norm(m))
 
 
-def hermitian_with_norm(m, what: str | None = "operator"):
-    """(M, ||M||_F), checked in order: square, finite entries, finite norm,
-    M within TOL * max(1, ||M||_F) of M^dag.  A failure raises ValueError;
-    a non-Hermitian M gives None instead if ``what`` is None."""
+def _dots(x, y):
+    """Row-wise x . y as a stacked vector product, which runs the BLAS dot
+    that ``norm`` and ``vdot`` run on one vector."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _row_norms(v) -> np.ndarray:
+    """``np.linalg.norm`` of each row of v, with the same arithmetic."""
+    return np.sqrt(_dots(v.real, v.real) + _dots(v.imag, v.imag))
+
+
+def finite_with_norm(m, what: str = "operator"):
+    """(M, ||M||_F) for a square matrix, or (M, each matrix's norm, equal
+    bit for bit) for a stack (..., n, n).  Refuses, in order, a shape that
+    is not square, NaN or Inf entries and an overflowing norm."""
     m = np.asarray(m, dtype=complex)
-    with np.errstate(over="ignore"):
-        norm = frobenius(m)
-    if not math.isfinite(norm) or m.ndim != 2 or len(m) != m.shape[1]:
-        as_matrix(m)          # a finite norm implies finite entries
-        raise ValueError(f"{what or 'operator'} Frobenius norm overflows")
-    # |M - M^dag| is symmetric: its upper triangle, in blocks under 128 KiB.
-    rows = 8192 // (len(m) or 1) or 1    # 0 x 0 fails in .max() as before
-    if max(np.abs(m[i:i + rows, i:] - m[i:, i:i + rows].conj().T).max()
-           for i in range(0, len(m) or 1, rows)) <= TOL * max(1.0, norm):
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    with np.errstate(over="ignore"):    # frobenius is faster on one matrix
+        norm = frobenius(m) if m.ndim == 2 else _row_norms(
+            m.reshape(m.shape[:-2] + (m.shape[-1] ** 2,)))
+    if math.isfinite(norm) if m.ndim == 2 else np.isfinite(norm).all():
         return m, norm
-    if what is not None:
-        raise ValueError(f"{what} is not Hermitian within tolerance")
+    if not np.isfinite(m).all():      # a finite norm implies finite entries
+        raise ValueError("matrix contains NaN or Inf entries")
+    raise ValueError(f"{what} Frobenius norm overflows")
 
 
-def is_hermitian(m) -> bool:
-    return hermitian_with_norm(m, None) is not None
+def _hermitian(m, norm):
+    """Whether each matrix is within TOL * max(1, norm) of its adjoint: the
+    upper triangle of |M - M^dag|, at most 8192 entries per matrix a block."""
+    n = m.shape[-1]
+    rows = 8192 // (n or 1) or 1    # 0 x 0 is refused: no .max() of nothing
+    deviation = functools.reduce(np.maximum, (
+        np.abs(m[..., i:i + rows, i:]
+               - m[..., i:, i:i + rows].conj().swapaxes(-1, -2)
+               ).max(axis=(-2, -1)) for i in range(0, n or 1, rows)))
+    return (deviation <= TOL) | (deviation <= TOL * norm)  # max(1, norm)
+
+
+def is_hermitian(m):
+    return _hermitian(*finite_with_norm(m))
+
+
+def hermitian_with_norm(m, what: str = "operator"):
+    """``finite_with_norm``, refusing a matrix that ``_hermitian`` fails."""
+    m, norm = finite_with_norm(m, what)
+    ok = _hermitian(m, norm)
+    if ok if m.ndim == 2 else ok.all():  # .all() costs 1 us on one matrix
+        return m, norm
+    raise ValueError(f"{what} is not Hermitian within tolerance")
 
 
 def hermitian_part(m) -> np.ndarray:
     """(M + M^dag) / 2, over the last two axes of a matrix or a stack."""
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
-
-
-def require_hermitian(m, what: str = "operator") -> np.ndarray:
-    return hermitian_with_norm(m, what)[0]
 
 
 def tensor(a, b) -> np.ndarray:
@@ -120,36 +148,22 @@ class EigenSystem(NamedTuple):
 
 
 def hermitian_eigensystem(h) -> EigenSystem:
-    """Full spectral decomposition of a Hermitian matrix.
+    """Full spectral decomposition of a Hermitian matrix, or of each matrix
+    of a stack (..., n, n), bit for bit as that matrix alone.
 
     Eigenvalues come back ascending; eigenvectors are the paired columns.
     Backed by LAPACK through numpy, which is deterministic for a fixed
-    input.  Raises if ``h`` is not Hermitian within tolerance.
+    input.  Raises as ``hermitian_with_norm`` does.
     """
-    return EigenSystem(*np.linalg.eigh(hermitian_part(require_hermitian(h))))
-
-
-def hermitian_eigenvalues(stack) -> np.ndarray:
-    """Ascending eigenvalues of every matrix of a stack (..., n, n).
-
-    The stack is checked for finite entries, and each matrix for
-    Hermiticity within TOL * max(1, ||M||_F) as ``require_hermitian`` does.
-    Each row equals ``hermitian_eigensystem(matrix).eigenvalues`` bit for
-    bit: the same ``eigh`` of the same Hermitian part.
-    """
-    m = np.asarray(stack, dtype=complex)
-    if not np.isfinite(m).all():
-        raise ValueError("matrix contains NaN or Inf entries")
-    scale = np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
-    deviation = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    if not (deviation <= TOL * scale).all():
-        raise ValueError("operator is not Hermitian within tolerance")
-    return np.linalg.eigh(hermitian_part(m))[0]
+    h = hermitian_with_norm(h)[0]
+    return EigenSystem(*np.linalg.eigh(hermitian_part(h)))
 
 
 def is_positive_semidefinite(h, what: str = "operator") -> tuple[bool, float]:
     """(PSD verdict, minimum eigenvalue) for a Hermitian matrix."""
     h, norm = hermitian_with_norm(h, what)
+    if h.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {h.shape}")
     min_eig = float(np.linalg.eigvalsh(hermitian_part(h))[0])
     return min_eig >= -TOL * max(1.0, norm), min_eig
 
@@ -212,13 +226,8 @@ def matrix_from_json(obj) -> np.ndarray:
         re, im = (np.array(p, dtype=float) for p in parts)
     except OverflowError:
         raise ValueError("matrix JSON entry too large for a float") from None
-    m = as_matrix((re + 1j * im).reshape(dim, dim))
-    with np.errstate(over="ignore"):
-        norm = frobenius(m)
-    if not np.isfinite(norm):
-        raise ValueError("matrix JSON entries too large: the Frobenius "
-                         "norm overflows")
-    return m
+    return finite_with_norm((re + 1j * im).reshape(dim, dim),
+                            "matrix JSON")[0]
 
 
 def json_text(doc, indent: str = "") -> str:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (EXACT_TOL, is_positive_semidefinite, matrix_from_json,
-                     matrix_to_json, tensor)
+from .linalg import (EXACT_TOL, _dots, _row_norms, is_positive_semidefinite,
+                     matrix_from_json, matrix_to_json, tensor)
 
 KET_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 KET_MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
@@ -104,17 +104,11 @@ class SeparableDecomposition:
         return cls(terms)
 
 
-def _dots(x, y):
-    """Row-wise x . y as a stacked vector product, which runs the BLAS dot
-    that ``norm`` and ``vdot`` run on one vector."""
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
-
-
 def _unit_rows(re, im) -> np.ndarray:
     """``v / np.linalg.norm(v)`` for each row v = re + i im, with the same
     arithmetic."""
     v = re + 1j * im
-    return v / np.sqrt(_dots(v.real, v.real) + _dots(v.imag, v.imag))[:, None]
+    return v / _row_norms(v)[:, None]
 
 
 def _projectors(v) -> np.ndarray:

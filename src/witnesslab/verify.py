@@ -21,6 +21,7 @@ independently; their JSON is their dataclass fields in declaration order.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -30,7 +31,7 @@ import numpy as np
 from .algebra import (BipartiteAlgebra, classical_state,
                       classical_state_vertices, full_algebra,
                       require_in_algebra, sector_indices, _blocks_from_draws,
-                      _draw_slots, _random_block_raw, _random_element)
+                      _random_block_raw, _random_element)
 from .linalg import (EXACT_TOL, RESIDUAL_TOL, TOL, anticommutator, frobenius,
                      hermitian_part, hermitian_with_norm, matrix_to_json)
 from .states import pure_state, random_unit_pairs
@@ -362,8 +363,8 @@ def check_entanglement_witness(e, d_a: int, d_b: int,
     """
     require_dims(d_a, d_b)
     e, norm = hermitian_with_norm(e, "witness")
-    if d_a * d_b != e.shape[0]:
-        raise ValueError(f"witness dimension {e.shape[0]} does not match "
+    if e.shape != (d_a * d_b,) * 2:
+        raise ValueError(f"witness shape {e.shape} does not match "
                          f"{d_a}x{d_b}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -470,10 +471,9 @@ def _coerce_algebra(alg) -> BipartiteAlgebra:
     return BipartiteAlgebra(tuple(alg), (1,))
 
 
-def _blocks(trials: int) -> list[int]:
+def _blocks(trials: int) -> Iterator[int]:
     """Sizes of the consecutive evaluation blocks that cover ``trials``."""
-    return [min(PROBE_BLOCK, trials - start)
-            for start in range(0, trials, PROBE_BLOCK)]
+    return (min(PROBE_BLOCK, left) for left in range(trials, 0, -PROBE_BLOCK))
 
 
 def theorem1_probe(alg, trials: int, seed: int = DEFAULT_SEED) -> ProbeReport:
@@ -582,7 +582,7 @@ def classical_lemma_test(alg, trials: int,
     max_residual = 0.0
     for count in _blocks(trials):
         expo = np.empty((count, n_k * m_l))
-        draws = np.empty((count, 2, _draw_slots(alg).size))
+        draws = np.empty((count, 2, alg.draw_slots.size))
         for t in range(count):
             rng.standard_exponential(out=expo[t])
             rng.standard_normal(out=draws[t])

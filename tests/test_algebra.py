@@ -1,5 +1,7 @@
 """Tests for the block-algebra layout and classical states."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,10 +104,10 @@ def test_sector_index_is_built_once_and_read_only(blocks_a, blocks_b):
     assert (repr(alg), alg.to_json()) == (text, doc)
     assert text == f"BipartiteAlgebra(blocks_a={blocks_a}, " \
         f"blocks_b={blocks_b})"
-    slots = ba._draw_slots(alg)
-    hits = ba._draw_slots.cache_info().hits
-    assert ba._draw_slots(twin) is slots
-    assert ba._draw_slots.cache_info().hits == hits + 1
+    slots = alg.draw_slots
+    assert alg.draw_slots is slots and "draw_slots" not in twin.__dict__
+    with pytest.raises(ValueError, match="read-only"):
+        slots[0] = 0
     assert "sector_index" not in twin.__dict__
 
 
@@ -117,7 +119,8 @@ def test_construction_builds_no_index():
         ba.in_algebra(np.eye(4), alg)
     with pytest.raises(ValueError, match="does not match algebra dimension"):
         check_quantumness_witness(np.eye(4), alg)
-    for name in ("sector_index", "support_index", "vertex_diagonals"):
+    for name in ("sector_index", "support_index", "vertex_diagonals",
+                 "draw_slots"):
         assert name not in alg.__dict__
 
 
@@ -322,6 +325,19 @@ def test_out_of_algebra_state_rejected():
     rho = la.tensor(0.5 * (np.eye(2) + SX), np.eye(2) / 2)
     with pytest.raises(ValueError):
         ba.is_classical_state(rho, alg)
+
+
+def test_overflowing_norm_is_refused_not_classified():
+    # At 1.0 the off-sector entries keep this matrix out of the algebra; at
+    # 1e300 a cutoff of TOL * ||m||_F would be inf and let them in.
+    alg = ba.BipartiteAlgebra((1, 1), (1,))
+    assert not ba.in_algebra(np.full((2, 2), 1.0), alg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for check in (ba.in_algebra, ba.is_classical_state,
+                      ba.classicality_violation):
+            with pytest.raises(ValueError, match="Frobenius norm overflows"):
+                check(np.full((2, 2), 1e300), alg)
 
 
 def test_classicality_certificate_for_coherence():

@@ -565,7 +565,7 @@ def test_write_csv_is_what_csv_writer_writes(tmp_path_factory, data, width):
 
 
 def test_scan_rejects_non_finite_phase(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "hermitian_eigenvalues", _refuse)
+    monkeypatch.setattr(cli, "hermitian_eigensystem", _refuse)
     for phi in ("nan", "inf", "-inf"):
         code, out, err = run_cli(capsys, "scan", "xi-sweep", f"--phi={phi}")
         assert (code, out, err) == (2, "", "error: phi must be finite\n")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -242,7 +243,7 @@ def test_stacked_eigenvalues_match_one_matrix_at_a_time():
     rng = np.random.default_rng(12)
     for n in (1, 2, 4, 9):
         stack = np.array([rand_hermitian(rng, n) for _ in range(7)])
-        w = la.hermitian_eigenvalues(stack)
+        w = la.hermitian_eigensystem(stack).eigenvalues
         for h, row in zip(stack, w):
             assert row.tobytes() == \
                 la.hermitian_eigensystem(h).eigenvalues.tobytes()
@@ -260,16 +261,48 @@ def test_stacked_eigenvalues_hermitian_boundary(scale, factor, accepted):
     anti[0, 1], anti[1, 0] = 0.5, -0.5
     stack = np.array([good, h + factor * cutoff * anti, good])
     if accepted:
-        assert la.hermitian_eigenvalues(stack).shape == (3, 4)
+        assert la.hermitian_eigensystem(stack).eigenvalues.shape == (3, 4)
     else:
         with pytest.raises(ValueError, match="Hermitian"):
-            la.hermitian_eigenvalues(stack)
+            la.hermitian_eigensystem(stack)
 
 
 def test_stacked_eigenvalues_reject_non_finite():
     stack = np.array([np.eye(2), [[1.0, 0.0], [0.0, np.inf]]])
     with pytest.raises(ValueError, match="NaN or Inf"):
-        la.hermitian_eigenvalues(stack)
+        la.hermitian_eigensystem(stack)
+
+
+def test_stacked_eigensystem_refuses_an_overflowing_norm():
+    # Against an infinite cutoff this non-Hermitian matrix would pass.
+    stack = [np.triu(np.full((2, 2), 1e300)), np.eye(2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="Frobenius norm overflows"):
+            la.hermitian_eigensystem(stack)
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1),
+       exponent=st.integers(-5, 4), factor=st.sampled_from([0.5, 2.0]))
+def test_a_matrix_checks_alone_as_in_a_stack(n, seed, exponent, factor):
+    # Norm and Hermiticity verdict of each matrix alone, bit for bit those
+    # of its row in a (2, 2, n, n) stack of differently scaled neighbours;
+    # n > 90 spans several row blocks.
+    rng = np.random.default_rng(seed)
+    h = 10.0 ** exponent * rand_hermitian(rng, n)
+    near = h.copy()
+    near[0, -1] += factor * 1e-9 * max(1.0, la.frobenius(h)) * 1j
+    stack = np.array([h, near, 1e4 * near, rand_complex(rng, n)])
+    _, norms = la.finite_with_norm(stack.reshape(2, 2, n, n))
+    verdicts = la.is_hermitian(stack.reshape(2, 2, n, n))
+    assert norms.shape == verdicts.shape == (2, 2)
+    for m, norm, verdict in zip(stack, norms.ravel(), verdicts.ravel()):
+        alone = la.finite_with_norm(m)[1]
+        assert type(alone) is float
+        assert np.float64(alone).tobytes() == norm.tobytes()
+        assert la.is_hermitian(m) == verdict
+    assert verdicts[0, 0] and not verdicts[1, 1]
 
 
 # ------------------------------------------------------------------- psd
@@ -429,6 +462,14 @@ def test_matrix_json_accepts_integers():
     m = la.matrix_from_json({"dim": 2, "re": [1, 0, 0.5, -2],
                              "im": [0, 3, -3.0, 0]})
     assert np.array_equal(m, [[1, 3j], [0.5 - 3j, -2]])
+
+
+def test_load_matrix_refuses_an_overflowing_norm(tmp_path):
+    path = tmp_path / "big.json"
+    la.save_matrix(path, np.diag([1e300] * 4))
+    with pytest.raises(ValueError,
+                       match="^matrix JSON Frobenius norm overflows$"):
+        la.load_matrix(path)
 
 
 def test_load_matrix_refuses_deep_nesting(tmp_path):

@@ -17,8 +17,9 @@ from witnesslab import states as ws
 from witnesslab import verify
 from witnesslab.algebra import (BipartiteAlgebra, _random_block_raw,
                                 block_layout, classical_state, full_algebra,
-                                random_algebra_element, require_in_algebra,
-                                sector_indices, sector_labels)
+                                in_algebra, random_algebra_element,
+                                require_in_algebra, sector_indices,
+                                sector_labels)
 from witnesslab.cli import main
 from witnesslab.verify import (check_entanglement_witness,
                                check_quantumness_witness,
@@ -123,7 +124,7 @@ def qw_validation_reference(q, alg):
     """The message with which the two-step validation refuses ``q``, or
     None if it accepts it."""
     try:
-        require_in_algebra(la.require_hermitian(q, "witness"), alg)
+        require_in_algebra(la.hermitian_with_norm(q, "witness")[0], alg)
     except ValueError as err:
         return str(err)
     return None
@@ -139,8 +140,8 @@ def qw_validation_written_out(q, alg):
     cutoff = 1e-9 * max(1.0, la.frobenius(q))
     if not np.abs(q - q.conj().T).max() <= cutoff:
         return "witness is not Hermitian within tolerance"
-    if q.shape[0] != alg.total_dim:
-        return (f"dimension {q.shape[0]} does not match algebra dimension "
+    if q.shape != (alg.total_dim,) * 2:
+        return (f"shape {q.shape} does not match algebra dimension "
                 f"{alg.total_dim}")
     label = sector_labels(alg)
     off = np.abs(q[label[:, None] != label[None, :]])
@@ -730,6 +731,18 @@ def test_qw_refuses_an_overflowing_norm():
                 check_quantumness_witness(q, alg)
 
 
+@pytest.mark.parametrize("count", [2, 4])
+def test_one_matrix_checks_refuse_a_stack(count):
+    stack = np.array([np.eye(4)] * count)
+    alg = full_algebra(2, 2)
+    for check in (lambda: la.is_positive_semidefinite(stack),
+                  lambda: in_algebra(stack, alg),
+                  lambda: check_quantumness_witness(stack, alg),
+                  lambda: check_entanglement_witness(stack, 2, 2)):
+        with pytest.raises(ValueError, match="shape"):
+            check()
+
+
 def test_ew_refuses_values_that_are_not_finite(monkeypatch):
     def nan_values(e4, a, b):
         return np.full(len(a), np.nan), a, b
@@ -1068,6 +1081,19 @@ def test_lemma_probe_clean():
         assert report.passed
         assert report.min_anticommutator_expectation > -1e-9
         assert report.min_cross_term > -1e-9
+
+
+def test_blocks_are_made_one_at_a_time():
+    # --trials and --restarts take any integer: no list of every size.
+    tracemalloc.start()
+    try:
+        assert next(verify._blocks(10**18)) == verify.PROBE_BLOCK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert [list(verify._blocks(t)) for t in (1, 1024, 1025, 2500)] == \
+        [[1], [1024], [1024, 1], [1024, 1024, 452]]
 
 
 # The lemma probe as it ran before its draws went into block buffers: one
