@@ -57,16 +57,18 @@ def _row_norms(v) -> np.ndarray:
 
 
 def finite_with_norm(m, what: str = "operator"):
-    """(M, ||M||_F) for a square matrix, or (M, each matrix's norm, equal
-    bit for bit) for a stack (..., n, n).  Refuses, in order, a shape that
-    is not square, NaN or Inf entries and an overflowing norm."""
+    """(M, ||M||_F) for a square matrix, or (M, each matrix's norm) for a
+    stack (..., n, n).  Each norm sums the entries in row-major order, so a
+    matrix alone and as a row of a stack, in any memory layout, gets the
+    same bits.  Refuses, in order, a shape that is not square, NaN or Inf
+    entries and an overflowing norm."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     with np.errstate(over="ignore"):    # frobenius is faster on one matrix
-        norm = frobenius(m) if m.ndim == 2 else _row_norms(
-            m.reshape(m.shape[:-2] + (m.shape[-1] ** 2,)))
-    if math.isfinite(norm) if m.ndim == 2 else np.isfinite(norm).all():
+        norm = frobenius(np.ascontiguousarray(m)) if m.ndim == 2 else \
+            _row_norms(m.reshape(m.shape[:-2] + (m.shape[-1] ** 2,)))
+    if np.isfinite(norm).all():
         return m, norm
     if not np.isfinite(m).all():      # a finite norm implies finite entries
         raise ValueError("matrix contains NaN or Inf entries")
@@ -82,18 +84,13 @@ def _hermitian(m, norm):
         np.abs(m[..., i:i + rows, i:]
                - m[..., i:, i:i + rows].conj().swapaxes(-1, -2)
                ).max(axis=(-2, -1)) for i in range(0, n or 1, rows)))
-    return (deviation <= TOL) | (deviation <= TOL * norm)  # max(1, norm)
-
-
-def is_hermitian(m):
-    return _hermitian(*finite_with_norm(m))
+    return deviation <= TOL * np.maximum(1.0, norm)
 
 
 def hermitian_with_norm(m, what: str = "operator"):
     """``finite_with_norm``, refusing a matrix that ``_hermitian`` fails."""
     m, norm = finite_with_norm(m, what)
-    ok = _hermitian(m, norm)
-    if ok if m.ndim == 2 else ok.all():  # .all() costs 1 us on one matrix
+    if _hermitian(m, norm).all():
         return m, norm
     raise ValueError(f"{what} is not Hermitian within tolerance")
 

@@ -20,6 +20,11 @@ def rand_complex(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
+def hermitian(m):
+    """The Hermiticity verdict of ``hermitian_with_norm``, without raising."""
+    return la._hermitian(*la.finite_with_norm(m))
+
+
 def rand_hermitian(rng, n):
     g = rand_complex(rng, n)
     return (g + g.conj().T) / 2
@@ -209,7 +214,7 @@ def test_is_hermitian_boundary(scale, factor, accepted):
     cutoff = 1e-9 * max(1.0, la.frobenius(h))
     anti = np.zeros((4, 4), dtype=complex)
     anti[0, 1], anti[1, 0] = 0.5, -0.5        # max |A - A^dag| = 1
-    assert la.is_hermitian(h + factor * cutoff * anti) == accepted
+    assert hermitian(h + factor * cutoff * anti) == accepted
 
 
 @pytest.mark.parametrize("n", [64, 91, 108, 144, 200])
@@ -229,7 +234,7 @@ def test_is_hermitian_sees_every_entry_of_a_blocked_matrix(n):
                 m[i, j] += factor * 1e-9 * la.frobenius(h) * 1j
                 cutoff = 1e-9 * max(1.0, la.frobenius(m))
                 whole = np.abs(m - m.conj().T).max() <= cutoff
-                assert la.is_hermitian(m) == whole
+                assert hermitian(m) == whole
                 seen.add(bool(whole))
     assert seen == {True, False}
 
@@ -287,22 +292,28 @@ def test_stacked_eigensystem_refuses_an_overflowing_norm():
        exponent=st.integers(-5, 4), factor=st.sampled_from([0.5, 2.0]))
 def test_a_matrix_checks_alone_as_in_a_stack(n, seed, exponent, factor):
     # Norm and Hermiticity verdict of each matrix alone, bit for bit those
-    # of its row in a (2, 2, n, n) stack of differently scaled neighbours;
-    # n > 90 spans several row blocks.
+    # of its row in a (2, 2, n, n) stack of differently scaled neighbours,
+    # whether stored row-major, column-major or strided; n > 90 spans
+    # several row blocks.
     rng = np.random.default_rng(seed)
     h = 10.0 ** exponent * rand_hermitian(rng, n)
     near = h.copy()
     near[0, -1] += factor * 1e-9 * max(1.0, la.frobenius(h)) * 1j
     stack = np.array([h, near, 1e4 * near, rand_complex(rng, n)])
-    _, norms = la.finite_with_norm(stack.reshape(2, 2, n, n))
-    verdicts = la.is_hermitian(stack.reshape(2, 2, n, n))
-    assert norms.shape == verdicts.shape == (2, 2)
-    for m, norm, verdict in zip(stack, norms.ravel(), verdicts.ravel()):
-        alone = la.finite_with_norm(m)[1]
-        assert type(alone) is float
-        assert np.float64(alone).tobytes() == norm.tobytes()
-        assert la.is_hermitian(m) == verdict
-    assert verdicts[0, 0] and not verdicts[1, 1]
+    # the second layout stores each matrix column-major
+    for layout in (stack, stack.swapaxes(-1, -2).copy().swapaxes(-1, -2)):
+        _, norms = la.finite_with_norm(layout.reshape(2, 2, n, n))
+        verdicts = hermitian(layout.reshape(2, 2, n, n))
+        assert norms.shape == verdicts.shape == (2, 2)
+        for m, norm, verdict in zip(stack, norms.ravel(), verdicts.ravel()):
+            wide = np.zeros((n, 2 * n), dtype=complex)
+            wide[:, ::2] = m
+            for alone in (m, np.asfortranarray(m), wide[:, ::2]):
+                alone_norm = la.finite_with_norm(alone)[1]
+                assert type(alone_norm) is float
+                assert np.float64(alone_norm).tobytes() == norm.tobytes()
+                assert hermitian(alone) == verdict
+        assert verdicts[0, 0] and not verdicts[1, 1]
 
 
 # ------------------------------------------------------------------- psd

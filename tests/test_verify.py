@@ -294,7 +294,7 @@ def test_qw_imaginary_vertex_residual_raises(tmp_path):
     # imaginary part -5e-10, beyond RESIDUAL_TOL.
     alg = BipartiteAlgebra((1, 2), (1,))
     q = np.diag([1.0, 2.0 - 5e-10j, 2.0 - 5e-10j])
-    assert la.is_hermitian(q)
+    la.hermitian_with_norm(q)
     vertex = classical_state(alg, [[0.0], [1.0]])
     with pytest.raises(ValueError) as dense:
         la.expectation(vertex, q)
