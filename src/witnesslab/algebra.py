@@ -12,13 +12,13 @@ product C^(sum n_k) (x) C^(sum m_l) with lexicographic pair indexing
 first factor, the B blocks of the second.  Sector (k, l) therefore lives
 on the index grid (range of block k) x (range of block l), which is not
 contiguous in general.  ``block_layout`` reports the canonical contiguous
-ordering (k-major, then l) and ``embedding_permutation`` maps it onto the
-interleaved physical indices.  ``BipartiteAlgebra.sector_index`` is the
-one sector index, built on first use and kept: each physical index's
-sector (``sector_labels``), their stable argsort (the embedding) and the
-sector sizes; ``sector_indices`` splits the embedding per sector, and
-everything else reads it, or the support index, vertex diagonals and draw
-slots built from it on first use; only an indexed vertex is made dense.
+ordering (k-major, then l).  ``BipartiteAlgebra.sector_index`` is the one
+sector index, built on first use and kept: each physical index's sector,
+their stable argsort (the embedding, which maps the canonical ordering
+onto the interleaved physical indices) and the sector sizes;
+``sector_indices`` splits the embedding per sector, and everything else
+reads it, or the support index, vertex diagonals and draw slots built
+from it on first use; only an indexed vertex is made dense.
 """
 
 from __future__ import annotations
@@ -140,16 +140,6 @@ def block_layout(alg: BipartiteAlgebra) -> list[tuple[int, int, int, int]]:
             layout.append((k, l, offset, size))
             offset += size
     return layout
-
-
-def sector_labels(alg: BipartiteAlgebra) -> np.ndarray:
-    """The ``block_layout`` position of each full-space index's sector."""
-    return alg.sector_index[0]
-
-
-def embedding_permutation(alg: BipartiteAlgebra) -> np.ndarray:
-    """Permutation p with p[canonical position] = physical index."""
-    return alg.sector_index[1]
 
 
 def sector_indices(alg: BipartiteAlgebra) -> list[np.ndarray]:

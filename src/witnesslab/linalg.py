@@ -32,10 +32,12 @@ RESIDUAL_TOL = 1e-10  # imaginary parts of expectations, M^2 = I
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce ``m`` to a square complex matrix with finite entries."""
+    """Coerce ``m`` to a nonempty square complex matrix with finite
+    entries."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or not a.shape[0] == a.shape[1] > 0:
+        raise ValueError(
+            f"expected a nonempty square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return a
@@ -60,11 +62,13 @@ def finite_with_norm(m, what: str = "operator"):
     """(M, ||M||_F) for a square matrix, or (M, each matrix's norm) for a
     stack (..., n, n).  Each norm sums the entries in row-major order, so a
     matrix alone and as a row of a stack, in any memory layout, gets the
-    same bits.  Refuses, in order, a shape that is not square, NaN or Inf
-    entries and an overflowing norm."""
+    same bits.  Refuses, in order, a shape that is not square or is 0 x 0,
+    NaN or Inf entries and an overflowing norm; an empty stack (0, n, n)
+    passes."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim < 2 or not m.shape[-1] == m.shape[-2] > 0:
+        raise ValueError(
+            f"expected a nonempty square matrix, got shape {m.shape}")
     with np.errstate(over="ignore"):    # frobenius is faster on one matrix
         norm = frobenius(np.ascontiguousarray(m)) if m.ndim == 2 else \
             _row_norms(m.reshape(m.shape[:-2] + (m.shape[-1] ** 2,)))
@@ -79,12 +83,12 @@ def finite_with_norm(m, what: str = "operator"):
 def _hermitian(m, norm):
     """Whether each matrix is within TOL * max(1, norm) of its adjoint: the
     upper triangle of |M - M^dag|, at most 8192 entries per matrix a block."""
-    n = m.shape[-1]
-    rows = 8192 // (n or 1) or 1    # 0 x 0 is refused: no .max() of nothing
+    n = m.shape[-1]                 # finite_with_norm refuses n = 0
+    rows = 8192 // n or 1
     deviation = functools.reduce(np.maximum, (
         np.abs(m[..., i:i + rows, i:]
                - m[..., i:, i:i + rows].conj().swapaxes(-1, -2)
-               ).max(axis=(-2, -1)) for i in range(0, n or 1, rows)))
+               ).max(axis=(-2, -1)) for i in range(0, n, rows)))
     return deviation <= TOL * np.maximum(1.0, norm)
 
 

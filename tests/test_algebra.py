@@ -68,12 +68,11 @@ def test_sector_indices_match_definition():
 def test_embedding_permutation_is_permutation():
     for blocks in [((2,), (1, 1)), ((2, 1), (3,)), ((1, 2), (2, 1))]:
         alg = ba.BipartiteAlgebra(*blocks)
-        p = ba.embedding_permutation(alg)
+        p = alg.sector_index[1]
         assert sorted(p) == list(range(alg.total_dim))
     # with a single B block the canonical order is already physical
     alg = ba.BipartiteAlgebra((2, 1), (3,))
-    assert np.array_equal(ba.embedding_permutation(alg),
-                          np.arange(alg.total_dim))
+    assert np.array_equal(alg.sector_index[1], np.arange(alg.total_dim))
 
 
 _BLOCKS = st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple)
@@ -97,8 +96,8 @@ def test_sector_index_is_built_once_and_read_only(blocks_a, blocks_b):
     for array in index:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
-    assert ba.sector_labels(alg) is labels
-    assert ba.embedding_permutation(alg) is order
+    assert alg.sector_index[0] is labels
+    assert alg.sector_index[1] is order
     # The index is no field: built or not, equal algebras stay equal.
     assert alg == twin and hash(alg) == hash(twin)
     assert (repr(alg), alg.to_json()) == (text, doc)
@@ -147,11 +146,11 @@ LAYOUTS = [((2,), (2,)), ((2,), (1, 1)), ((2, 1), (3,)), ((1, 2), (2, 1)),
 @pytest.mark.parametrize("blocks", LAYOUTS)
 def test_sector_labels_sort_into_the_block_index_concatenation(blocks):
     alg = ba.BipartiteAlgebra(*blocks)
-    label = ba.sector_labels(alg)
+    label, order, _ = alg.sector_index
     sectors = ba.sector_indices(alg)
     concatenated = np.concatenate(sectors)
     assert np.array_equal(np.argsort(label, kind="stable"), concatenated)
-    assert np.array_equal(ba.embedding_permutation(alg), concatenated)
+    assert np.array_equal(order, concatenated)
     assert [idx.size for idx in sectors] == \
         [size for _, _, _, size in ba.block_layout(alg)]
     for j, idx in enumerate(sectors):
@@ -340,6 +339,13 @@ def test_overflowing_norm_is_refused_not_classified():
                 check(np.full((2, 2), 1e300), alg)
 
 
+def _unit(n, i, j):
+    """The matrix unit E_ij of size n."""
+    unit = np.zeros((n, n), dtype=complex)
+    unit[i, j] = 1.0
+    return unit
+
+
 def test_classicality_certificate_for_coherence():
     alg = ba.BipartiteAlgebra((2,), (2,))
     psi = np.zeros(4, dtype=complex)
@@ -352,6 +358,22 @@ def test_classicality_certificate_for_coherence():
     # certificate re-evaluates to the reported violation
     recomputed = np.trace(rho @ (x @ y - y @ x))
     assert abs(recomputed - value) < 1e-12
+    # The pair (0, 1) already shows an imbalance of 0.5 and the coherence
+    # at (0, 3) only ties it, so the imbalance probe (E_01, E_10) wins.
+    assert np.array_equal(x, _unit(4, 0, 1))
+    assert np.array_equal(y, _unit(4, 1, 0))
+    assert abs(value - 0.5) < 1e-12
+
+
+def test_classicality_certificate_for_a_lone_coherence():
+    # |+><+| on "2;1" has no imbalance: the coherence probe (E_00, E_01).
+    alg = ba.BipartiteAlgebra((2,), (1,))
+    rho = np.full((2, 2), 0.5, dtype=complex)
+    x, y, value = ba.classicality_violation(rho, alg)
+    assert np.array_equal(x, _unit(2, 0, 0))
+    assert np.array_equal(y, _unit(2, 0, 1))
+    assert value == 0.5
+    assert np.trace(rho @ (x @ y - y @ x)) == value
 
 
 def test_classicality_certificate_for_imbalance():

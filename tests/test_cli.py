@@ -278,6 +278,47 @@ def test_verify_rejects_nonpositive_dims_in_every_mode(tmp_path, capsys,
     assert err == f"error: dims must be positive, got {'x'.join(dims)}\n"
 
 
+def test_verify_qw_dims_is_the_full_algebra(tmp_path, capsys):
+    op = tmp_path / "swap2.json"
+    la.save_matrix(op, swap_operator(2))
+    runs = [run_cli(capsys, "verify", "qw", "--in", str(op), *flags)
+            for flags in (("--dims", "2", "2"), ("--alg", "2;2"))]
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert code == 0 and err == ""
+    assert json.loads(out)["verdict"] == "confirmed"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "qw"), "verify qw needs --alg or --dims"),
+    (("verify", "ew"), "verify ew needs --dims A B"),
+    (("verify", "both"), "verify both needs --dims A B"),
+    (("verify", "ew", "--dims", "2", "2", "--restarts", "0"),
+     "restarts must be >= 1"),
+])
+def test_verify_refusals_exit_2(tmp_path, capsys, argv, message):
+    op = tmp_path / "swap2.json"
+    la.save_matrix(op, swap_operator(2))
+    code, out, err = run_cli(capsys, *argv, "--in", str(op))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_verify_internal_contradiction_exits_1(tmp_path, capsys,
+                                               monkeypatch):
+    def contradiction(*args, **kwargs):
+        raise RuntimeError("confirmed entanglement witness failed the "
+                           "quantumness check")
+
+    monkeypatch.setattr(cli, "ew_implies_qw", contradiction)
+    op = tmp_path / "swap2.json"
+    la.save_matrix(op, swap_operator(2))
+    code, out, err = run_cli(capsys, "verify", "both", "--in", str(op),
+                             "--dims", "2", "2")
+    assert (code, out) == (1, "")
+    assert err == ("assertion failure: confirmed entanglement witness "
+                   "failed the quantumness check\n")
+
+
 def test_seed_env_override(tmp_path, capsys, monkeypatch):
     op = tmp_path / "swap2.json"
     la.save_matrix(op, swap_operator(2))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from witnesslab import linalg as la
+from witnesslab import states as ws
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -314,6 +316,23 @@ def test_a_matrix_checks_alone_as_in_a_stack(n, seed, exponent, factor):
                 assert np.float64(alone_norm).tobytes() == norm.tobytes()
                 assert hermitian(alone) == verdict
         assert verdicts[0, 0] and not verdicts[1, 1]
+
+
+@pytest.mark.parametrize("check", [la.hermitian_with_norm,
+                                   la.hermitian_eigensystem,
+                                   la.is_positive_semidefinite,
+                                   ws.assert_density_matrix])
+@pytest.mark.parametrize("shape", [(0, 0), (2, 0, 0)])
+def test_the_operator_check_refuses_an_empty_matrix(check, shape):
+    message = f"expected a nonempty square matrix, got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check(np.zeros(shape))
+
+
+def test_an_empty_stack_passes_the_operator_check():
+    stack, norms = la.hermitian_with_norm(np.zeros((0, 3, 3)))
+    assert stack.shape == (0, 3, 3) and norms.shape == (0,)
+    assert la.hermitian_eigensystem(stack).eigenvalues.shape == (0, 3)
 
 
 # ------------------------------------------------------------------- psd

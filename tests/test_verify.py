@@ -1,5 +1,6 @@
 """Tests for the witness certifiers and randomized probes."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from platform_pin import build_note
 
 from witnesslab import linalg as la
 from witnesslab import states as ws
@@ -18,9 +20,8 @@ from witnesslab import verify
 from witnesslab.algebra import (BipartiteAlgebra, _random_block_raw,
                                 block_layout, classical_state, full_algebra,
                                 in_algebra, random_algebra_element,
-                                require_in_algebra, sector_indices,
-                                sector_labels)
-from witnesslab.cli import main
+                                require_in_algebra, sector_indices)
+from witnesslab.cli import main, parse_algebra
 from witnesslab.verify import (check_entanglement_witness,
                                check_quantumness_witness,
                                classical_lemma_test, ew_implies_qw,
@@ -143,7 +144,7 @@ def qw_validation_written_out(q, alg):
     if q.shape != (alg.total_dim,) * 2:
         return (f"shape {q.shape} does not match algebra dimension "
                 f"{alg.total_dim}")
-    label = sector_labels(alg)
+    label = alg.sector_index[0]
     off = np.abs(q[label[:, None] != label[None, :]])
     if off.size and not off.max() <= cutoff:
         return ("operator is not in the algebra "
@@ -169,7 +170,7 @@ def test_qw_validates_as_the_two_step_composition(layout, defect, factor,
         full_algebra(n + 1, 1) if defect == "wrong dimension" else alg, seed)
     step = factor * 1e-9 * max(1.0, la.frobenius(q)) * rng.choice(
         [1, -1, 1j, -1j])
-    label = sector_labels(alg)
+    label = alg.sector_index[0]
     off = np.argwhere(label[:, None] != label[None, :])
     i, j = rng.choice(np.argwhere(~np.eye(n, dtype=bool)))
     if defect in ("off-sector pair", "both") and len(off):
@@ -958,7 +959,8 @@ def _local_unitary(e, d_a, d_b, seed=3):
     return w @ e @ w.conj().T, d_a, d_b
 
 
-def _metamorphic_cases():
+def _ew_inputs():
+    """(id, E, d_a, d_b): the named witnesses and 15 random operators."""
     cases = [(f"swap-d{d}", swap_operator(d), d, d) for d in (2, 3, 4)]
     cases.append(("bell-chsh", bell_chsh(standard_bell_settings(+1)), 2, 2))
     cases += [(f"xi-swap-d{d}", 0.4 * np.eye(d * d) + swap_operator(d), d, d)
@@ -968,6 +970,11 @@ def _metamorphic_cases():
                random_hermitian(d_a * d_b, seed), d_a, d_b)
               for d_a, d_b in ((2, 2), (2, 3), (3, 2), (3, 3), (2, 4))
               for seed in range(3)]
+    return cases
+
+
+def _metamorphic_cases():
+    cases = _ew_inputs()
     return pytest.mark.parametrize("e,d_a,d_b",
                                    [c[1:] for c in cases],
                                    ids=[c[0] for c in cases])
@@ -998,6 +1005,44 @@ def test_ew_invariant_under_power_of_two_scaling(e, d_a, d_b, k):
     assert (abs(after.min_product_expectation / 2.0**k
                 - before.min_product_expectation)
             <= 1e-14 * max(1.0, la.frobenius(e)))
+
+
+# Every report byte for byte as recorded.  data/ew_report_parity.json
+# was recorded from the code of commit 8f11fd6, at 32 restarts and seed
+# 42, on the inputs above, a scalar party (1x3) and one input whose
+# restarts run PROBE_BLOCK = 5 at a time, so its starts cross stacks and
+# its Newton steps go one start at a time.  Per input it holds the
+# verdict, `heuristic`, both minima as repr and the sha256 of the
+# report's JSON text.  Never regenerate it from the current code.
+
+EW_PARITY = json.loads((DATA / "ew_report_parity.json").read_text())
+
+
+def _ew_parity_inputs():
+    inputs = {c[0]: c[1:] for c in _ew_inputs()}
+    inputs["random-1x3-0"] = (random_hermitian(3, 0), 1, 3)
+    return inputs
+
+
+def test_ew_report_pins_cover_the_inputs():
+    cases = EW_PARITY["cases"]
+    assert {case["input"] for case in cases} == set(_ew_parity_inputs())
+    assert any(case["probe_block"] for case in cases)
+
+
+@pytest.mark.parametrize("case", EW_PARITY["cases"], ids=lambda c: c["id"])
+def test_ew_report_matches_pinned(case, monkeypatch):
+    e, d_a, d_b = _ew_parity_inputs()[case["input"]]
+    if case["probe_block"]:
+        monkeypatch.setattr(verify, "PROBE_BLOCK", case["probe_block"])
+    report = check_entanglement_witness(e, d_a, d_b, EW_PARITY["restarts"],
+                                        EW_PARITY["seed"])
+    text = la.json_text(report.to_json())
+    got = {"verdict": report.verdict, "heuristic": report.heuristic,
+           "min_product_expectation": repr(report.min_product_expectation),
+           "min_eigenvalue": repr(report.min_eigenvalue),
+           "sha256": hashlib.sha256(text.encode()).hexdigest()}
+    assert got == {key: case[key] for key in got}, build_note(EW_PARITY)
 
 
 # ------------------------------------------------------------ implication
@@ -1058,7 +1103,7 @@ def test_theorem1_noncommutative_finds_witness():
 
 
 def test_theorem1_single_factor_input():
-    report = theorem1_probe([2], 200, seed=5)
+    report = theorem1_probe(parse_algebra("2"), 200, seed=5)
     assert not report.commutative
     assert report.witness_found
 
