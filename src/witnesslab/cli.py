@@ -29,8 +29,8 @@ import numpy as np
 
 from . import __version__
 from .algebra import BipartiteAlgebra, full_algebra
-from .linalg import (hermitian_eigensystem, json_text, load_matrix,
-                     matrix_to_json, save_matrix, tensor)
+from .linalg import (as_matrix, hermitian_eigensystem, json_text,
+                     load_matrix, matrix_to_json, save_matrix, tensor)
 from .states import KET_MINUS, KET_PLUS
 from .verify import (DEFAULT_RESTARTS, DEFAULT_SEED,
                      check_entanglement_witness, check_quantumness_witness,
@@ -220,7 +220,8 @@ def _emit_operators(operators: dict, provenance: dict, out_path):
 
     A single operator goes to ``out_path`` itself; several go to
     ``<stem>.<NAME>.json`` siblings.  Without --out the document is
-    printed to stdout instead.
+    printed to stdout instead.  Every operator is checked before the first
+    file is written, so a refused one leaves no file behind.
     """
     if out_path is None:
         doc = {name: matrix_to_json(m) for name, m in operators.items()}
@@ -230,6 +231,8 @@ def _emit_operators(operators: dict, provenance: dict, out_path):
     stem = str(out_path).removesuffix(".json")
     written = [str(out_path)] if len(operators) == 1 else [
         f"{stem}.{name}.json" for name in operators]
+    for m in operators.values():
+        as_matrix(m)
     for path, m in zip(written, operators.values()):
         save_matrix(path, m, provenance)
     print(json_text({"written": written, "provenance": provenance}))

@@ -31,18 +31,6 @@ EXACT_TOL = 1e-12     # unit traces, weights, Bloch lengths, the noise floor
 RESIDUAL_TOL = 1e-10  # imaginary parts of expectations, M^2 = I
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce ``m`` to a nonempty square complex matrix with finite
-    entries."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or not a.shape[0] == a.shape[1] > 0:
-        raise ValueError(
-            f"expected a nonempty square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix contains NaN or Inf entries")
-    return a
-
-
 def frobenius(m) -> float:
     return float(np.linalg.norm(m))
 
@@ -78,6 +66,15 @@ def finite_with_norm(m, what: str = "operator"):
     if not np.isfinite(m).all():      # a finite norm implies finite entries
         raise ValueError("matrix contains NaN or Inf entries")
     raise ValueError(f"{what} Frobenius norm overflows")
+
+
+def as_matrix(m, what: str = "operator") -> np.ndarray:
+    """``finite_with_norm`` for one matrix: the matrix alone, refusing a
+    stack."""
+    m = finite_with_norm(m, what)[0]
+    if m.ndim != 2:
+        raise ValueError(f"expected one matrix, got a stack of shape {m.shape}")
+    return m
 
 
 def _hermitian(m, norm):
@@ -164,9 +161,7 @@ def hermitian_eigensystem(h) -> EigenSystem:
 
 def is_positive_semidefinite(h, what: str = "operator") -> tuple[bool, float]:
     """(PSD verdict, minimum eigenvalue) for a Hermitian matrix."""
-    h, norm = hermitian_with_norm(h, what)
-    if h.ndim != 2:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    h, norm = hermitian_with_norm(as_matrix(h, what), what)
     min_eig = float(np.linalg.eigvalsh(hermitian_part(h))[0])
     return min_eig >= -TOL * max(1.0, norm), min_eig
 

@@ -32,8 +32,8 @@ from .algebra import (BipartiteAlgebra, classical_state,
                       classical_state_vertices, full_algebra,
                       require_in_algebra, sector_indices, _blocks_from_draws,
                       _random_block_raw, _random_element)
-from .linalg import (EXACT_TOL, RESIDUAL_TOL, TOL, anticommutator, frobenius,
-                     hermitian_part, hermitian_with_norm, matrix_to_json)
+from .linalg import (EXACT_TOL, TOL, anticommutator, frobenius, hermitian_part,
+                     hermitian_with_norm, matrix_to_json)
 from .states import pure_state, random_unit_pairs
 from .witnesses import QubitQWParams, qubit_qw
 
@@ -96,11 +96,9 @@ def check_quantumness_witness(q, alg: BipartiteAlgebra) -> WitnessReport:
     require_in_algebra(q, alg, norm=norm)
 
     # Vertex values are diagonal row sums, added as np.trace(v @ q) adds.
+    # Their real parts are hermitian_part(q)'s, which the eigen half reads.
     vertices = classical_state_vertices(alg)
     values = (vertices.diagonals * np.diagonal(q)).sum(axis=1)
-    bad = values.imag[abs(values.imag) > RESIDUAL_TOL]
-    if bad.size:
-        raise ValueError(f"expectation has imaginary residual {bad[0]:.3e}")
     worst_vertex = int(np.argmin(values.real))
     min_classical = values.real[worst_vertex]
 

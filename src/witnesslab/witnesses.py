@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (EXACT_TOL, RESIDUAL_TOL, TOL, as_matrix, anticommutator,
-                     frobenius, is_positive_semidefinite, tensor)
+from .linalg import (EXACT_TOL, RESIDUAL_TOL, TOL, _row_norms, anticommutator,
+                     as_matrix, frobenius, is_positive_semidefinite, tensor)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -276,7 +276,8 @@ def _checked_shift(xi, phi):
     phi = float(phi)
     if not math.isfinite(phi):
         raise ValueError("phi must be finite")
-    return xi, phi % (2.0 * math.pi)
+    phi %= 2.0 * math.pi            # a tiny negative phi rounds up to 2 pi
+    return xi, phi if phi < 2.0 * math.pi else 0.0
 
 
 def shifted_swap_stack(xi, phi: float = 0.0, d: int = 2):
@@ -285,15 +286,11 @@ def shifted_swap_stack(xi, phi: float = 0.0, d: int = 2):
     ``xi`` has shape (...) and shares one phase and dimension; shifts and
     phase are checked and reduced as ShiftedSwapParams does.  Returns
     (X, Y, xi*I + S, residuals): three stacks of shape (..., d^2, d^2) and
-    the Frobenius residuals, shape (...), each one norm of one matrix.
+    the Frobenius residuals, shape (...), each the bits of ``frobenius``
+    on its matrix alone.
     """
     swap = swap_operator(d)
     xi, phi = _checked_shift(xi, phi)
-    return _shifted_swap_rows(xi, phi, swap)
-
-
-def _shifted_swap_rows(xi, phi, swap):
-    d = math.isqrt(len(swap))
     n = d * d
     x = np.zeros(xi.shape + (n, n), dtype=complex)
     y = np.zeros_like(x)
@@ -321,8 +318,8 @@ def _shifted_swap_rows(xi, phi, swap):
                                         len(ij))
     shifted = col * np.eye(n) + swap
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = (x @ y + y @ x - shifted).reshape(-1, n, n)
-        residual = np.array([frobenius(m) for m in diff]).reshape(xi.shape)
+        residual = _row_norms((x @ y + y @ x - shifted).reshape(
+            xi.shape + (n * n,)))
     # Below xi ~ 1e-8 the 1/(2 sqrt(xi)) scale cancels away the precision
     # of {X, Y}; the negation also refuses a residual that overflowed.
     if not (residual <= TOL * np.maximum(
@@ -348,6 +345,5 @@ def shifted_swap_factors(p: ShiftedSwapParams):
     of both factors is sqrt((1+xi)/2).  Returns (X, Y, residual) with
     residual = ||{X,Y} - (xi*I + S)||_F.
     """
-    x, y, _, residual = _shifted_swap_rows(np.asarray(p.xi), p.phi,
-                                           swap_operator(p.d))
+    x, y, _, residual = shifted_swap_stack(p.xi, p.phi, p.d)
     return x, y, float(residual)

@@ -133,6 +133,18 @@ def test_construct_qubit_qw(tmp_path, capsys):
     assert q.shape == (2, 2)
 
 
+@pytest.mark.parametrize("alpha,beta", [("1e-200", "1e200"),
+                                        ("1e200", "1e-200")])
+def test_a_refused_construct_writes_nothing(tmp_path, capsys, alpha, beta):
+    # One factor's norm overflows, while {X, Y} stays finite.
+    code, out, err = run_cli(capsys, "construct", "qubit-qw",
+                             "--alpha", alpha, "--beta", beta,
+                             "--out", str(tmp_path / "q.json"))
+    assert (code, out) == (2, "")
+    assert err == "error: operator Frobenius norm overflows\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_construct_avr_identity_residual(tmp_path, capsys):
     for kind in ("avr-asym", "avr-sym"):
         out = tmp_path / f"{kind}.json"

@@ -329,6 +329,36 @@ def test_the_operator_check_refuses_an_empty_matrix(check, shape):
         check(np.zeros(shape))
 
 
+def test_the_one_matrix_checks_refuse_a_stack():
+    stack = np.eye(3)[None].repeat(2, 0)
+    message = "expected one matrix, got a stack of shape (2, 3, 3)"
+    for check in (la.as_matrix, la.is_positive_semidefinite):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check(stack)
+
+
+_BIG = np.diag([1e300, 1e300])      # finite entries, overflowing norm
+
+
+@pytest.mark.parametrize("build", [
+    lambda: la.tensor(_BIG, np.eye(2)),
+    lambda: la.commutator(_BIG, np.eye(2)),
+    lambda: la.anticommutator(np.eye(2), _BIG),
+    lambda: la.expectation(np.eye(2) / 2, _BIG),
+    lambda: la.partial_transpose(np.diag([1e300] * 4), 2, 2),
+    lambda: la.direct_sum([np.eye(1), _BIG]),
+    lambda: la.matrix_to_json(_BIG),
+    lambda: la.as_matrix(_BIG),
+], ids=["tensor", "commutator", "anticommutator", "expectation",
+        "partial_transpose", "direct_sum", "matrix_to_json", "as_matrix"])
+def test_every_matrix_input_refuses_an_overflowing_norm(build):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match="^operator Frobenius norm overflows$"):
+            build()
+
+
 def test_an_empty_stack_passes_the_operator_check():
     stack, norms = la.hermitian_with_norm(np.zeros((0, 3, 3)))
     assert stack.shape == (0, 3, 3) and norms.shape == (0,)
@@ -495,8 +525,11 @@ def test_matrix_json_accepts_integers():
 
 
 def test_load_matrix_refuses_an_overflowing_norm(tmp_path):
+    # save_matrix refuses this matrix, so json.dump writes the file.
     path = tmp_path / "big.json"
-    la.save_matrix(path, np.diag([1e300] * 4))
+    with open(path, "w") as fh:
+        json.dump({"dim": 2, "re": [1e300, 0.0, 0.0, 1e300],
+                   "im": [0.0] * 4}, fh)
     with pytest.raises(ValueError,
                        match="^matrix JSON Frobenius norm overflows$"):
         la.load_matrix(path)
@@ -545,17 +578,19 @@ def test_save_matrix_writes_what_json_dump_writes(tmp_path_factory, data,
     m = (np.array(entries[:dim * dim])
          + 1j * np.array(entries[dim * dim:])).reshape(dim, dim)
     path = tmp_path_factory.mktemp("save") / "m.json"
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(m)
+    if not np.isfinite(norm):
+        # Writing refuses what reading would refuse, and leaves no file.
+        with pytest.raises(ValueError,
+                           match="^operator Frobenius norm overflows$"):
+            la.save_matrix(path, m, provenance)
+        assert not path.exists()
+        return
     la.save_matrix(path, m, provenance)
     doc = {"dim": dim, "re": [float(x) for x in m.real.ravel()],
            "im": [float(x) for x in m.imag.ravel()]}
     if provenance is not None:
         doc["provenance"] = provenance
     assert path.read_text() == json.dumps(doc, indent=2) + "\n"
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(m)
-    if np.isfinite(norm):
-        assert np.array_equal(la.load_matrix(path), m)
-    else:
-        # Reading refuses what no cutoff can scale by.
-        with pytest.raises(ValueError, match="Frobenius norm overflows"):
-            la.load_matrix(path)
+    assert np.array_equal(la.load_matrix(path), m)

@@ -471,6 +471,30 @@ def test_shifted_swap_matches_per_sector_reference(d, phi):
             xi * np.eye(d * d) + w.swap_operator(d)).tobytes()
 
 
+@settings(deadline=None, max_examples=200)
+@given(phi=st.floats(-1e3, 1e3) | st.sampled_from(
+    [-1e-17, -5e-324, -2e-16, -2 * math.pi - 1e-16, 2 * math.pi]))
+def test_shifted_swap_phase_lies_in_its_range(phi):
+    reduced = w.ShiftedSwapParams(xi=0.5, phi=phi).phi
+    assert 0.0 <= reduced < 2 * math.pi
+    assert w.ShiftedSwapParams(xi=0.5, phi=reduced).phi == reduced
+
+
+@pytest.mark.parametrize("phi", [-1e-17, -5e-324, -2e-16])
+def test_a_phase_that_rounds_up_to_2pi_builds_phase_zero(phi):
+    # phi % 2 pi rounds to 2 pi itself here; the builder takes 0 instead.
+    got = w.shifted_swap_factors(w.ShiftedSwapParams(xi=0.5, phi=phi, d=3))
+    want = w.shifted_swap_factors(w.ShiftedSwapParams(xi=0.5, phi=0.0, d=3))
+    assert [m.tobytes() for m in got[:2]] == [m.tobytes() for m in want[:2]]
+    assert got[2] == want[2]
+
+
+def test_dichotomic_settings_refuse_an_overflowing_norm():
+    s = w.standard_bell_settings()
+    with pytest.raises(ValueError, match="^operator Frobenius norm overflows$"):
+        w.DichotomicSettings(1e300 * s.a1, s.a2, s.b1, s.b2)
+
+
 def test_shifted_swap_random_parameters():
     rng = np.random.default_rng(77)
     for _ in range(50):
